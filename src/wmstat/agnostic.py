@@ -6,7 +6,7 @@ matches the Type I budget.  Its worst-case excess Type II error over the
 per-model optimum has an exact binomial-ratio form; this module computes that
 value in exact rationals, samples and couples the region law constructively
 via max-flow (certifying the bound instance by instance), and checks the
-underlying marginal-domination condition by brute force.
+underlying marginal-domination condition on the worst set of each size.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dist import DiscreteDist, binom_exact
+from .dist import DiscreteDist, ResourceLimit, binom_exact
 from .flow import FlowNetwork
 from .ump import Region
 
 MAX_ENUM_SUBSETS = 100_000
-MAX_BRUTE_OUTCOMES = 20
 
 
 @dataclass(frozen=True)
@@ -103,18 +102,6 @@ def max_type2_loss(n: int, alpha: Fraction) -> Fraction:
     return binom_exact(n - inv, m) / binom_exact(n, m)
 
 
-def max_type2_loss_telescoping(n: int, alpha: Fraction) -> Fraction:
-    """Same value as a telescoping product, for exact cross-checking."""
-    m = integrality_check(n, alpha)
-    inv = int(1 / Fraction(alpha))
-    out = Fraction(1)
-    for i in range(inv):
-        out *= Fraction(n - m - i, n - i)
-        if out == 0:
-            break
-    return out
-
-
 def loss_limit_gap(alpha: Fraction, n: int) -> float:
     """Distance of the exact worst-case loss from its small-alpha limit 1/e."""
     return abs(float(max_type2_loss(n, alpha)) - math.exp(-1.0))
@@ -160,7 +147,7 @@ def build_agnostic_coupling(
         raise ValueError(f"distribution has {rho.k} outcomes, law expects {law.n}")
     n_subsets = law.n_subsets
     if n_subsets > MAX_ENUM_SUBSETS:
-        raise ValueError(f"{n_subsets} subsets exceed enumeration cap {MAX_ENUM_SUBSETS}")
+        raise ResourceLimit(f"{n_subsets} subsets exceed enumeration cap {MAX_ENUM_SUBSETS}")
     exact = rho.is_exact
     probs = list(rho.probs) if exact else list(rho.as_floats())
     subset_quota = Fraction(1, n_subsets) if exact else 1.0 / n_subsets
@@ -219,45 +206,34 @@ def coupling_miss_probability(coupling: AgnosticCoupling) -> float:
     )
 
 
-def strassen_condition_holds(rho: DiscreteDist, law: UniformRegionLaw, budget) -> bool:
-    """Brute-force marginal-domination check over every outcome set U.
+def _worst_gap(rho: DiscreteDist, law: UniformRegionLaw, exact: bool):
+    """max over U of rho(U) - P(region hits U), exact or in floats.
 
-    True iff rho(U) - P(region hits U) <= budget for all U.  Exact when the
-    distribution and budget are exact rationals; float arithmetic otherwise.
+    The hit probability depends on |U| only, so the worst set of each size u
+    is the u most likely outcomes: one pass over the sorted prefix sums.
     """
     if rho.k != law.n:
         raise ValueError(f"distribution has {rho.k} outcomes, law expects {law.n}")
-    n = law.n
-    if n > MAX_BRUTE_OUTCOMES:
-        raise ValueError(f"brute force limited to n <= {MAX_BRUTE_OUTCOMES}, got {n}")
-    exact = rho.is_exact and not isinstance(budget, float)
-    if exact:
-        hit = [law.hit_probability(u) for u in range(n + 1)]
-        for bits in range(1 << n):
-            total = Fraction(0)
-            size = 0
-            for x in range(n):
-                if bits >> x & 1:
-                    total += Fraction(rho.probs[x])
-                    size += 1
-            if total - hit[size] > budget:
-                return False
-        return True
-    hit = np.array([float(law.hit_probability(u)) for u in range(n + 1)])
-    sums = np.zeros(1)
-    sizes = np.zeros(1, dtype=np.int64)
-    for p in rho.as_floats():
-        sums = np.concatenate([sums, sums + p])
-        sizes = np.concatenate([sizes, sizes + 1])
-    return bool(np.all(sums - hit[sizes] <= float(budget)))
+    number = Fraction if exact else float
+    probs = sorted(map(number, rho.probs), reverse=True)
+    best = acc = number(0)
+    for u in range(1, law.n + 1):
+        acc += probs[u - 1]
+        best = max(best, acc - number(law.hit_probability(u)))
+    return best
+
+
+def strassen_condition_holds(rho: DiscreteDist, law: UniformRegionLaw, budget) -> bool:
+    """Marginal-domination check: rho(U) - P(region hits U) <= budget for all U.
+
+    Exact when the distribution and budget are exact rationals; float
+    arithmetic otherwise.
+    """
+    if rho.is_exact and not isinstance(budget, float):
+        return bool(_worst_gap(rho, law, exact=True) <= budget)
+    return bool(_worst_gap(rho, law, exact=False) <= float(budget))
 
 
 def worst_set_gap(rho: DiscreteDist, law: UniformRegionLaw) -> float:
     """max over U of rho(U) - P(region hits U); equals the min achievable loss."""
-    probs = sorted(rho.as_floats(), reverse=True)
-    best = 0.0
-    acc = 0.0
-    for u in range(1, law.n + 1):
-        acc += probs[u - 1]
-        best = max(best, acc - float(law.hit_probability(u)))
-    return best
+    return _worst_gap(rho, law, exact=False)

@@ -6,8 +6,8 @@ Usage: ``wmstat <experiment> [--config FILE] [--key value ...] --seed S
 Configuration is plain key=value lines; command-line ``--key value`` pairs
 override the file.  Every experiment draws all randomness through
 (seed, stream id) substreams and reduces in fixed order, so a given config
-and seed produce byte-identical CSV for any worker count.  Exit codes:
-0 success, 1 runtime resource limit, 2 configuration error.
+and seed produce byte-identical CSV on every run.  Exit codes: 0 success,
+1 runtime resource limit, 2 bad configuration or input.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import agnostic, lm as lm_mod, rates, robust, schemes, ump
-from .dist import DiscreteDist
+from .dist import DiscreteDist, ResourceLimit
 from .plots import svg_line_plot
 from .streams import substream
 
@@ -86,7 +86,7 @@ class Param:
 class Experiment:
     name: str
     params: tuple[Param, ...]
-    run: Callable[[dict, int, int], CsvTable]
+    run: Callable[[dict, int], CsvTable]
     plot: tuple[str, tuple[str, ...]] | None = None  # (x column, y columns)
 
 
@@ -94,7 +94,7 @@ class Experiment:
 # experiment implementations
 
 
-def _run_ump(params: dict, seed: int, workers: int) -> CsvTable:
+def _run_ump(params: dict, seed: int) -> CsvTable:
     rho = DiscreteDist(probs=params["rho"])
     eps = params["eps"]
     rows = []
@@ -119,7 +119,7 @@ def _run_ump(params: dict, seed: int, workers: int) -> CsvTable:
     )
 
 
-def _run_rates(params: dict, seed: int, workers: int) -> CsvTable:
+def _run_rates(params: dict, seed: int) -> CsvTable:
     h, alpha, beta = params["h"], params["alpha"], params["beta"]
     rho0 = rates.hard_instance(h)
     lower = rates.min_tokens_lower_bound(h, alpha, beta)
@@ -132,7 +132,7 @@ def _run_rates(params: dict, seed: int, workers: int) -> CsvTable:
     return CsvTable(header=("n", "beta_exact", "lower", "upper"), rows=rows)
 
 
-def _run_agnostic(params: dict, seed: int, workers: int) -> CsvTable:
+def _run_agnostic(params: dict, seed: int) -> CsvTable:
     n = params["n"]
     alpha = params["alpha"]
     m = agnostic.integrality_check(n, alpha)
@@ -180,7 +180,7 @@ def _graph_for(name: str, n: int) -> robust.PerturbationGraph:
     )
 
 
-def _run_robust(params: dict, seed: int, workers: int) -> CsvTable:
+def _run_robust(params: dict, seed: int) -> CsvTable:
     rho = DiscreteDist(probs=params["rho"])
     alpha = params["alpha"]
     rows = []
@@ -235,7 +235,7 @@ def _scheme_for(name: str, lm: lm_mod.ToyLM, n: int, alpha: float, params: dict)
     raise ConfigError(f"unknown scheme {name!r}; use srl, christ, its or ump")
 
 
-def _run_schemes(params: dict, seed: int, workers: int) -> CsvTable:
+def _run_schemes(params: dict, seed: int) -> CsvTable:
     preset = params["lm"]
     if preset.startswith("@"):
         lm = lm_mod.load_lm(preset[1:])
@@ -251,7 +251,7 @@ def _run_schemes(params: dict, seed: int, workers: int) -> CsvTable:
     rows = []
     for name in names:
         scheme = _scheme_for(name, lm, params["n"], params["alpha"], params)
-        est = schemes.estimate_errors(scheme, lm, params["trials"], seed, workers)
+        est = schemes.estimate_errors(scheme, lm, params["trials"], seed)
         rows.append(
             tuple(
                 fmt(v)
@@ -405,13 +405,9 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"seed must be an integer, got {seed_text!r}") from None
 
-    workers_text = raw.pop("workers", "1")
-    try:
-        workers = int(workers_text)
-    except ValueError:
-        raise ConfigError(f"workers must be an integer, got {workers_text!r}") from None
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    for path in (out, svg):
+        if path is not None and not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: directory {path.parent} does not exist")
 
     known = {p.name: p for p in spec.params}
     params: dict[str, object] = {}
@@ -433,7 +429,6 @@ def build_config(argv: list[str]) -> ExperimentConfig:
             if p.default is None:
                 raise ConfigError(f"missing required key '{p.name}'")
             params[p.name] = p.default
-    params["workers"] = workers
     return ExperimentConfig(experiment=name, params=params, seed=seed, out=out, svg=svg)
 
 
@@ -444,15 +439,12 @@ def usage() -> str:
         lines.append(f"  {name}")
         for p in spec.params:
             lines.append(f"      --{p.name:<18} {p.help} (default {p.default!r})")
-    lines.append("      --workers            trial-loop parallelism (default 1)")
     return "\n".join(lines)
 
 
 def run(config: ExperimentConfig) -> CsvTable:
     spec = EXPERIMENTS[config.experiment]
-    params = dict(config.params)
-    workers = params.pop("workers", 1)
-    table = spec.run(params, config.seed, workers)
+    table = spec.run(dict(config.params), config.seed)
     if config.out is not None:
         config.out.write_bytes(table.to_text().encode("utf-8"))
     if config.svg is not None:
@@ -468,17 +460,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = build_config(argv)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    try:
         table = run(config)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except ResourceLimit as err:
         print(f"runtime limit: {err}", file=sys.stderr)
         return 1
+    except (ConfigError, ValueError, OSError) as err:
+        print(str(err), file=sys.stderr)
+        return 2
     if config.out is None:
         sys.stdout.write(table.to_text())
     return 0

@@ -24,6 +24,15 @@ BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 
+class ResourceLimit(ValueError):
+    """A computation would exceed one of the package's size caps."""
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """Probability distribution over outcome ids 0..k-1.
@@ -43,7 +52,7 @@ class DiscreteDist:
         if len(self.probs) < 1:
             raise ValueError("distribution needs at least one outcome")
         for p in self.probs:
-            if isinstance(p, float) and not math.isfinite(p):
+            if not math.isfinite(p):
                 raise ValueError(f"non-finite probability {p!r}")
             if p < 0:
                 raise ValueError(f"negative probability {p!r}")

@@ -2,8 +2,8 @@
 
 Edmonds-Karp (shortest augmenting paths) over an adjacency-list residual
 graph.  Capacities may be floats or exact ``Fraction`` values; the float mode
-treats residuals at or below a cutoff as absent so rounding noise cannot
-produce endless hairline augmentations.
+treats residuals at or below ``FLOAT_CUTOFF`` as absent so rounding noise
+cannot produce endless hairline augmentations.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class FlowNetwork:
         """Flow pushed through edge ``eid`` (its reverse edge's residual)."""
         return self.cap[eid + 1]
 
-    def max_flow(self, source: int, sink: int, cutoff=FLOAT_CUTOFF):
+    def max_flow(self, source: int, sink: int):
         """Total flow from source to sink; exact when capacities are exact."""
         exact = not any(isinstance(c, float) for c in self.cap)
-        eps = 0 if exact else cutoff
+        eps = 0 if exact else FLOAT_CUTOFF
         total = 0
         while True:
             parent_edge = [-1] * self.n_nodes

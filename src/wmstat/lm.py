@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import DiscreteDist, sample
+from .dist import DiscreteDist, ResourceLimit, sample
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ToyLM:
     def enumerate_sequences(self, n: int):
         """All (tokens, probability) pairs of length n; for exact-law checks."""
         if self.vocab_size**n > 1_000_000:
-            raise ValueError("sequence space too large to enumerate")
+            raise ResourceLimit("sequence space too large to enumerate")
         frontier: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
         for _ in range(n):
             nxt = []
@@ -123,6 +123,8 @@ def load_lm(path: str | Path) -> ToyLM:
     """Read 'vocab N', one line of initial probs, then N transition rows."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError(f"lm file {path} is empty; expected 'vocab N' first")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "vocab":
         raise ValueError(f"first line must be 'vocab N', got {lines[0]!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDist, inv_binary_entropy, sample_many
+from .dist import LN2, DiscreteDist, ResourceLimit, _check_alpha, inv_binary_entropy, sample_many
 from .streams import substream
 
 MAX_COUNT_CLASSES = 2_000_000
@@ -64,11 +64,6 @@ class RateCurve:
         raise KeyError(f"n={n} not in curve")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-
-
 _LOGFACT = np.zeros(1)
 
 
@@ -107,7 +102,7 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
     k = len(probs)
     n_classes = math.comb(n + k - 1, k - 1)
     if n_classes > MAX_COUNT_CLASSES:
-        raise ValueError(
+        raise ResourceLimit(
             f"{n_classes} count-vector classes exceed the exact-path cap "
             f"{MAX_COUNT_CLASSES}; too large, use the Monte Carlo estimator"
         )
@@ -158,19 +153,14 @@ def type2_product_exact(
 
 
 def type2_product_mc(
-    rho0: DiscreteDist,
-    n: int,
-    alpha: float,
-    samples: int,
-    seed: int,
-    workers: int = 1,
+    rho0: DiscreteDist, n: int, alpha: float, samples: int, seed: int
 ) -> tuple[float, float]:
     """Unbiased Monte Carlo estimate of the optimal miss probability.
 
     Averages (1 - alpha/P(sequence))+ over i.i.d. sequences, accumulating
     sequence probabilities in log space.  Sampling is split into fixed-size
     blocks with substreams keyed by (seed, block index) and reduced in block
-    order, so the estimate is identical for any worker count.
+    order.
     """
     _check_alpha(alpha)
     if samples < 100:
@@ -192,7 +182,7 @@ def type2_product_mc(
 
     from .streams import map_trials
 
-    sums = map_trials(block_sums, n_blocks, workers)
+    sums = map_trials(block_sums, n_blocks)
     total = math.fsum(s for s, _ in sums)
     total_sq = math.fsum(s2 for _, s2 in sums)
     mean = total / samples
@@ -261,7 +251,7 @@ def n_required_empirical(
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta!r}")
     if n_max > 100_000:
-        raise ValueError(f"n_max capped at 100000 for the exact scan, got {n_max}")
+        raise ResourceLimit(f"n_max capped at 100000 for the exact scan, got {n_max}")
     entries = []
     n_star = None
     for n in range(1, n_max + 1):

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dist import DiscreteDist
+from .dist import DiscreteDist, ResourceLimit, _check_alpha
 from .simplex import LpProblem, LpSolution, simplex_solve
 from .ump import EMPTY_REGION, Coupling, Region
 
@@ -57,15 +57,13 @@ class PerturbationGraph:
         return tuple(tuple(sorted(p)) for p in preds)
 
     @classmethod
-    def from_edges(cls, n: int, edges, add_self_loops: bool = True) -> "PerturbationGraph":
-        rows: list[set[int]] = [set() for _ in range(n)]
+    def from_edges(cls, n: int, edges) -> "PerturbationGraph":
+        """Graph from (u, v) edges; every vertex's self-loop is added."""
+        rows: list[set[int]] = [{v} for v in range(n)]
         for u, v in edges:
             if not 0 <= u < n:
                 raise ValueError(f"edge source {u} outside 0..{n - 1}")
             rows[u].add(v)
-        if add_self_loops:
-            for v in range(n):
-                rows[v].add(v)
         return cls(out_adj=tuple(tuple(sorted(r)) for r in rows))
 
     @classmethod
@@ -85,6 +83,8 @@ def load_graph(path: str | Path) -> PerturbationGraph:
     """
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError(f"graph file {path} is empty; expected 'vertices N' first")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "vertices":
         raise ValueError(f"first line must be 'vertices N', got {lines[0]!r}")
@@ -101,7 +101,7 @@ def load_graph(path: str | Path) -> PerturbationGraph:
             f"graph file omits self-loops on {len(missing)} vertices; adding them",
             stacklevel=2,
         )
-    return PerturbationGraph.from_edges(n, edges, add_self_loops=True)
+    return PerturbationGraph.from_edges(n, edges)
 
 
 def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
@@ -112,7 +112,7 @@ def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
     """
     n_vertices = k**n
     if n_vertices > MAX_HAMMING_VERTICES:
-        raise ValueError(f"{n_vertices} vertices exceed cap {MAX_HAMMING_VERTICES}")
+        raise ResourceLimit(f"{n_vertices} vertices exceed cap {MAX_HAMMING_VERTICES}")
     strings = list(itertools.product(range(k), repeat=n))
     rows = []
     for u, su in enumerate(strings):
@@ -150,8 +150,7 @@ def robust_lp_build(
     """
     if rho.k != graph.n:
         raise ValueError(f"distribution has {rho.k} outcomes, graph has {graph.n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+    _check_alpha(alpha)
     probs = rho.as_floats()
     n = graph.n
     constraints = []
@@ -174,11 +173,10 @@ def robust_optimal_type2(
     alpha: float,
     graph: PerturbationGraph,
     include_sum_row: bool = False,
-    exact: bool = False,
 ) -> tuple[float, LpSolution]:
     """Optimal robust miss probability and the LP solution achieving it."""
     problem = robust_lp_build(rho, alpha, graph, include_sum_row)
-    solution = simplex_solve(problem, exact=exact)
+    solution = simplex_solve(problem)
     if solution.status != "optimal":
         raise AssertionError(f"robust LP unexpectedly {solution.status}")
     return 1.0 - float(solution.objective), solution

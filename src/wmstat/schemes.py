@@ -471,14 +471,11 @@ def _trial_key(seed: int, domain: int, trial: int) -> WatermarkKey:
     return WatermarkKey(seed=int(substream(seed, domain, trial).integers(1 << 62)))
 
 
-def estimate_type1(
-    scheme, lm: ToyLM, trials: int, seed: int, workers: int = 1
-) -> tuple[float, float]:
+def estimate_type1(scheme, lm: ToyLM, trials: int, seed: int) -> tuple[float, float]:
     """Rejection rate on independent model text, with binomial stderr.
 
     Each trial realizes a region with a fresh keyed run and tests text the
-    key never saw.  Per-trial substreams keep the estimate identical for any
-    worker count.
+    key never saw.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -490,13 +487,11 @@ def estimate_type1(
         text = lm.sample_sequence(n, substream(seed, _D_NULL_TEXT, t))
         return 1.0 if scheme.detect(lm, key, text, run.meta).reject else 0.0
 
-    rate = math.fsum(map_trials(null_trial, trials, workers)) / trials
+    rate = math.fsum(map_trials(null_trial, trials)) / trials
     return rate, math.sqrt(rate * (1.0 - rate) / trials)
 
 
-def estimate_type2(
-    scheme, lm: ToyLM, trials: int, seed: int, workers: int = 1
-) -> tuple[float, float]:
+def estimate_type2(scheme, lm: ToyLM, trials: int, seed: int) -> tuple[float, float]:
     """Miss rate on watermarked text, with binomial stderr."""
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -506,16 +501,14 @@ def estimate_type2(
         run = scheme.generate(lm, key)
         return 0.0 if scheme.detect(lm, key, run.tokens, run.meta).reject else 1.0
 
-    rate = math.fsum(map_trials(wm_trial, trials, workers)) / trials
+    rate = math.fsum(map_trials(wm_trial, trials)) / trials
     return rate, math.sqrt(rate * (1.0 - rate) / trials)
 
 
-def estimate_errors(
-    scheme, lm: ToyLM, trials: int, seed: int, workers: int = 1
-) -> ErrorEstimates:
+def estimate_errors(scheme, lm: ToyLM, trials: int, seed: int) -> ErrorEstimates:
     """Monte Carlo Type I/II errors of a scheme over fresh keys."""
-    type1, type1_stderr = estimate_type1(scheme, lm, trials, seed, workers)
-    type2, type2_stderr = estimate_type2(scheme, lm, trials, seed, workers)
+    type1, type1_stderr = estimate_type1(scheme, lm, trials, seed)
+    type2, type2_stderr = estimate_type2(scheme, lm, trials, seed)
     return ErrorEstimates(
         type1=type1,
         type1_stderr=type1_stderr,

@@ -197,6 +197,8 @@ def _check_residuals(problem: LpProblem, x, exact: bool) -> None:
         if x[j] < lo - slack or x[j] > hi + slack:
             raise AssertionError(f"solution violates bounds on variable {j}")
     for coeffs, b in problem.constraints:
+        if exact:  # float data times an exact point would round in float arithmetic
+            coeffs = map(Fraction, coeffs)
         lhs = sum(c * v for c, v in zip(coeffs, x))
         if lhs > b + slack:
             raise AssertionError(f"solution violates constraint by {float(lhs - b)!r}")

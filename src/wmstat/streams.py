@@ -1,15 +1,14 @@
 """Seeded, keyed random streams.
 
-All randomness in the package flows through ``rng_stream``: a (seed, stream_id)
-pair deterministically names an independent generator.  This models a shared
-secret key on both the generation and detection sides, and makes every Monte
-Carlo experiment reproducible regardless of how trials are scheduled across
-workers (each logical unit of work owns its own stream).
+All randomness in the package flows through ``substream``: a seed and a path
+of integers (e.g. domain, trial) deterministically name an independent
+generator.  This models a shared secret key on both the generation and
+detection sides, and makes every Monte Carlo experiment reproducible: each
+logical unit of work owns its own stream.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -19,32 +18,20 @@ MASK64 = (1 << 64) - 1
 T = TypeVar("T")
 
 
-def rng_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Independent generator for ``(seed, stream_id)``.
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Independent generator for ``(seed, path)``.
 
-    Same pair -> same sequence; distinct ids -> statistically independent
+    Same pair -> same sequence; distinct paths -> statistically independent
     streams (SeedSequence spawn keys feed a PCG64 generator).
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & MASK64, spawn_key=(int(stream_id) & MASK64,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator addressed by a multi-part path, e.g. (domain, trial)."""
     parts = tuple(int(p) & MASK64 for p in path)
     ss = np.random.SeedSequence(entropy=int(seed) & MASK64, spawn_key=parts)
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def map_trials(fn: Callable[[int], T], n_trials: int, workers: int = 1) -> list[T]:
+def map_trials(fn: Callable[[int], T], n_trials: int) -> list[T]:
     """Evaluate ``fn(t)`` for t = 0..n_trials-1, in trial order.
 
-    ``fn`` must derive any randomness from its trial index (via ``rng_stream``
-    or ``substream``), so the returned list is identical for every worker
-    count; workers only change scheduling.
+    ``fn`` must derive any randomness from its trial index via ``substream``.
     """
-    if workers <= 1 or n_trials <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
-
+    return [fn(t) for t in range(n_trials)]

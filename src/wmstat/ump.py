@@ -5,24 +5,19 @@ region R.  The optimal (UMP) scheme of level alpha pairs each outcome with its
 own singleton region, clipped so no single outcome is rejected with
 probability above alpha; allowing the output marginal to move by epsilon in
 total variation first "water-fills" mass from above-alpha outcomes to
-below-alpha ones.  This module builds that coupling, evaluates exact Type I
-and Type II errors of arbitrary couplings, and certifies optimality on tiny
-sample spaces with an exhaustive linear program over all regions.
+below-alpha ones.  This module builds that coupling and evaluates exact
+Type I and Type II errors of arbitrary couplings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dist import DiscreteDist
-from .simplex import LpProblem, simplex_solve
+from .dist import DiscreteDist, _check_alpha
 
 WEIGHT_SUM_TOL = 1e-12
-
-ORACLE_MAX_OUTCOMES = 4
 
 
 @dataclass(frozen=True)
@@ -82,11 +77,6 @@ class Coupling:
 def clipped_surplus(probs: Iterable[float], alpha: float) -> float:
     """Total mass above the level alpha: sum of (p - alpha)+ over outcomes."""
     return math.fsum(max(float(p) - alpha, 0.0) for p in probs)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
 
 
 def optimal_distortion(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> DiscreteDist:
@@ -180,58 +170,3 @@ def type1_exact(coupling: Coupling) -> float:
 def type2_exact(coupling: Coupling) -> float:
     """Probability the coupled output misses its own region."""
     return math.fsum(w for x, region, w in coupling.atoms if x not in region)
-
-
-def ump_oracle(rho: DiscreteDist, alpha: float) -> float:
-    """Exhaustive minimum Type II error over all level-alpha couplings.
-
-    Solves the full LP over conditional region probabilities P(R | x) for
-    every region R of a tiny sample space, including the empty region, with
-    the per-outcome conditionals constrained to sum to exactly 1.  Certifies
-    the closed-form optimum independently of the coupling construction.
-    """
-    _check_alpha(alpha)
-    k = rho.k
-    if k > ORACLE_MAX_OUTCOMES:
-        raise ValueError(f"oracle limited to k <= {ORACLE_MAX_OUTCOMES}, got {k}")
-    probs = rho.as_floats()
-    regions = [
-        tuple(sorted(members))
-        for size in range(0, k + 1)
-        for members in itertools.combinations(range(k), size)
-    ]
-    n_vars = k * len(regions)
-
-    def var(x: int, r: int) -> int:
-        return x * len(regions) + r
-
-    objective = [0.0] * n_vars
-    for x in range(k):
-        for r, members in enumerate(regions):
-            if x in members:
-                objective[var(x, r)] = probs[x]
-
-    constraints = []
-    for x in range(k):  # conditional masses sum to exactly 1 (== as two <= rows)
-        row = [0.0] * n_vars
-        for r in range(len(regions)):
-            row[var(x, r)] = 1.0
-        constraints.append((tuple(row), 1.0))
-        constraints.append((tuple(-v for v in row), -1.0))
-    for y in range(k):  # point-mass Type I constraint at each outcome
-        row = [0.0] * n_vars
-        for x in range(k):
-            for r, members in enumerate(regions):
-                if y in members:
-                    row[var(x, r)] = probs[x]
-        constraints.append((tuple(row), alpha))
-
-    problem = LpProblem(
-        objective=tuple(objective),
-        constraints=tuple(constraints),
-        bounds=((0.0, 1.0),) * n_vars,
-    )
-    solution = simplex_solve(problem)
-    if solution.status != "optimal":
-        raise AssertionError(f"oracle LP unexpectedly {solution.status}")
-    return 1.0 - solution.objective

@@ -2,7 +2,10 @@
 
 Everything here is deliberately brute force: Pascal's recurrence, exhaustive
 vertex enumeration, grid search over perturbation balls, exact-rational
-re-summation.  None of it shares code paths with the library.
+re-summation.  None of it shares code paths with the library, except that
+``ump_oracle`` solves its exhaustive LP with the library's simplex (itself
+checked against ``vertex_enumeration_optimum``) and
+``max_type2_loss_telescoping`` validates its input with ``integrality_check``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from wmstat.simplex import LpProblem
+from wmstat.agnostic import integrality_check
+from wmstat.dist import DiscreteDist
+from wmstat.simplex import LpProblem, simplex_solve
+
+ORACLE_MAX_OUTCOMES = 4
 
 
 def pascal_binom(n: int, k: int) -> int:
@@ -127,6 +134,90 @@ def worst_set_gap_brute(probs, law) -> float:
                 size += 1
         best = max(best, total - float(law.hit_probability(size)))
     return best
+
+
+def worst_set_gap_brute_exact(probs, law) -> Fraction:
+    """Exact-rational ``worst_set_gap_brute``: every U, summed in Fractions."""
+    n = len(probs)
+    hit = [law.hit_probability(u) for u in range(n + 1)]
+    best = Fraction(0)
+    for bits in range(1 << n):
+        total = Fraction(0)
+        size = 0
+        for x in range(n):
+            if bits >> x & 1:
+                total += Fraction(probs[x])
+                size += 1
+        best = max(best, total - hit[size])
+    return best
+
+
+def max_type2_loss_telescoping(n: int, alpha: Fraction) -> Fraction:
+    """Worst-case agnostic loss as a telescoping product, for exact cross-checking."""
+    m = integrality_check(n, alpha)
+    inv = int(1 / Fraction(alpha))
+    out = Fraction(1)
+    for i in range(inv):
+        out *= Fraction(n - m - i, n - i)
+        if out == 0:
+            break
+    return out
+
+
+def ump_oracle(rho: DiscreteDist, alpha: float) -> float:
+    """Exhaustive minimum Type II error over all level-alpha couplings.
+
+    Solves the full LP over conditional region probabilities P(R | x) for
+    every region R of a tiny sample space, including the empty region, with
+    the per-outcome conditionals constrained to sum to exactly 1.  Certifies
+    the closed-form optimum independently of the coupling construction.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+    k = rho.k
+    if k > ORACLE_MAX_OUTCOMES:
+        raise ValueError(f"oracle limited to k <= {ORACLE_MAX_OUTCOMES}, got {k}")
+    probs = rho.as_floats()
+    regions = [
+        members
+        for size in range(0, k + 1)
+        for members in itertools.combinations(range(k), size)
+    ]
+    n_vars = k * len(regions)
+
+    def var(x: int, r: int) -> int:
+        return x * len(regions) + r
+
+    objective = [0.0] * n_vars
+    for x in range(k):
+        for r, members in enumerate(regions):
+            if x in members:
+                objective[var(x, r)] = probs[x]
+
+    constraints = []
+    for x in range(k):  # conditional masses sum to exactly 1 (== as two <= rows)
+        row = [0.0] * n_vars
+        for r in range(len(regions)):
+            row[var(x, r)] = 1.0
+        constraints.append((tuple(row), 1.0))
+        constraints.append((tuple(-v for v in row), -1.0))
+    for y in range(k):  # point-mass Type I constraint at each outcome
+        row = [0.0] * n_vars
+        for x in range(k):
+            for r, members in enumerate(regions):
+                if y in members:
+                    row[var(x, r)] = probs[x]
+        constraints.append((tuple(row), alpha))
+
+    problem = LpProblem(
+        objective=tuple(objective),
+        constraints=tuple(constraints),
+        bounds=((0.0, 1.0),) * n_vars,
+    )
+    solution = simplex_solve(problem)
+    if solution.status != "optimal":
+        raise AssertionError(f"oracle LP unexpectedly {solution.status}")
+    return 1.0 - solution.objective
 
 
 def random_dist(rng: np.random.Generator, k: int, spread: float = 1.0):

@@ -5,7 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import random_dist, worst_set_gap_brute
+from oracles import (
+    max_type2_loss_telescoping,
+    random_dist,
+    worst_set_gap_brute,
+    worst_set_gap_brute_exact,
+)
 from wmstat.agnostic import (
     UniformRegionLaw,
     build_agnostic_coupling,
@@ -13,14 +18,13 @@ from wmstat.agnostic import (
     integrality_check,
     loss_limit_gap,
     max_type2_loss,
-    max_type2_loss_telescoping,
     pad_to_integral,
     sample_region,
     strassen_condition_holds,
     worst_set_gap,
 )
 from wmstat.dist import DiscreteDist
-from wmstat.streams import rng_stream
+from wmstat.streams import substream
 from wmstat.ump import clipped_surplus
 
 
@@ -68,12 +72,12 @@ class TestRegionLaw:
 
     def test_full_set_always(self):
         law = UniformRegionLaw(n=4, region_size=4)
-        region = sample_region(law, rng_stream(0))
+        region = sample_region(law, substream(0, 0))
         assert region.members == (0, 1, 2, 3)
 
     def test_subset_frequencies(self):
         law = UniformRegionLaw(n=4, region_size=2)
-        rng = rng_stream(5)
+        rng = substream(5, 0)
         counts = {c: 0 for c in combinations(range(4), 2)}
         draws = 100_000
         for _ in range(draws):
@@ -84,7 +88,7 @@ class TestRegionLaw:
 
     def test_inclusion_probability(self):
         law = UniformRegionLaw(n=4, region_size=2)
-        rng = rng_stream(6)
+        rng = substream(6, 0)
         draws = 100_000
         hits = sum(0 in sample_region(law, rng) for _ in range(draws))
         sigma = math.sqrt(0.5 * 0.5 / draws)
@@ -206,6 +210,48 @@ class TestStrassenCheck:
             assert strassen_condition_holds(rho_exact, law, budget) == strassen_condition_holds(
                 rho_float, law, float(budget)
             )
+
+    def test_exact_agrees_with_enumeration(self):
+        rng = np.random.default_rng(11)
+        sizes = ((4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4))
+        for n, m in sizes:
+            law = UniformRegionLaw(n=n, region_size=m)
+            for _ in range(2 if n == 12 else 4):
+                weights = rng.integers(0, 6, size=n)
+                weights[0] += 1
+                rho = DiscreteDist(probs=tuple(Fraction(int(w), int(weights.sum())) for w in weights))
+                gap = worst_set_gap_brute_exact(rho.probs, law)
+                tiny = Fraction(1, 10**12)
+                for budget in (gap, gap - tiny, gap + tiny, Fraction(0), Fraction(1, 7)):
+                    # "is": the answer must be a Python bool, not a numpy one
+                    assert strassen_condition_holds(rho, law, budget) is (gap <= budget), (
+                        rho.probs, budget,
+                    )
+
+    def test_float_agrees_with_enumeration_away_from_ties(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for n, m in ((6, 3), (8, 2), (10, 2), (12, 4)):
+            law = UniformRegionLaw(n=n, region_size=m)
+            for _ in range(5):
+                rho = DiscreteDist(probs=random_dist(rng, n, spread=0.5))
+                gap = worst_set_gap_brute(rho.probs, law)
+                for budget in (gap - 1e-9, gap + 1e-9, 0.0, float(rng.uniform(0.0, 0.6))):
+                    if abs(gap - budget) > 1e-12:
+                        assert strassen_condition_holds(rho, law, budget) is (gap <= budget)
+                        checked += 1
+        assert checked >= 60
+
+    def test_runs_past_enumeration_size(self):
+        law = UniformRegionLaw(n=40, region_size=10)
+        point = DiscreteDist.point_mass(40, 7)
+        # worst set is {7}: rho = 1 against a hit probability of alpha = 1/4
+        assert strassen_condition_holds(point, law, Fraction(3, 4))
+        assert not strassen_condition_holds(point, law, Fraction(3, 4) - Fraction(1, 10**9))
+        assert strassen_condition_holds(DiscreteDist.uniform(40), law, 0)
+        rho = DiscreteDist(probs=random_dist(np.random.default_rng(13), 40))
+        budget = float(max_type2_loss(40, law.alpha)) + clipped_surplus(rho.probs, 0.25)
+        assert strassen_condition_holds(rho, law, budget + 1e-9)
 
 
 class TestPadding:

@@ -1,8 +1,23 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wmstat.cli import CsvTable, build_config, fmt, main
-from wmstat.streams import rng_stream
+from wmstat.cli import CsvTable, ConfigError, build_config, fmt, main
+from wmstat.streams import substream
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_run_all():
+    spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUN_ALL = _load_run_all()
 
 
 def run_cli(args, capsys=None):
@@ -51,6 +66,42 @@ class TestConfigParsing:
         assert code == 1
         assert "limit" in capsys.readouterr().err
 
+    def test_bad_level_is_config_error(self, capsys):
+        assert main(["ump", "--alphas", "1.5", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "limit" not in err
+
+    def test_workers_key_rejected(self, capsys):
+        assert main(["schemes", "--trials", "100", "--workers", "4", "--seed", "1"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_missing_output_directory(self, tmp_path, flag):
+        target = tmp_path / "no" / "such" / "dir" / "r.out"
+        with pytest.raises(ConfigError, match="does not exist"):
+            build_config(["rates", "--n_max", "64", "--seed", "1", flag, str(target)])
+        assert main(["rates", "--n_max", "64", "--seed", "1", flag, str(target)]) == 2
+        assert not target.parent.exists()
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["ump", "--config", str(path), "--seed", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_graph_file(self, tmp_path, capsys, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["robust", "--rho", "0.5,0.5", "--graphs", f"@{path}", "--seed", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_lm_file(self, tmp_path, capsys, text):
+        path = tmp_path / "lm.txt"
+        path.write_text(text)
+        assert main(["schemes", "--lm", f"@{path}", "--scheme", "srl", "--seed", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestCsvContract:
     def test_rates_columns_and_exit(self, tmp_path):
@@ -73,14 +124,6 @@ class TestCsvContract:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_byte_identical_across_workers(self, tmp_path):
-        base = ["schemes", "--lm", "fair-coin", "--scheme", "srl+christ+ump", "--n", "30",
-                "--alpha", "0.05", "--trials", "200", "--seed", "11"]
-        a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-        assert main(base + ["--workers", "4", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_float_cells_roundtrip(self, tmp_path):
         out = tmp_path / "u.csv"
         assert main(["ump", "--rho", "0.5,0.3,0.2", "--seed", "1", "--out", str(out)]) == 0
@@ -98,6 +141,18 @@ class TestCsvContract:
     def test_table_text_layout(self):
         t = CsvTable(header=("a", "b"), rows=(("1", "2.5"),))
         assert t.to_text() == "a,b\n1,2.5\n"
+
+    @pytest.mark.skipif(
+        not any((ROOT / "out").glob("*.csv")),
+        reason="no out/*.csv: out/ is matched by .gitignore, so a checkout may lack it",
+    )
+    @pytest.mark.parametrize("args", RUN_ALL.RUNS, ids=[a[0] for a in RUN_ALL.RUNS])
+    def test_golden_csv(self, tmp_path, args):
+        # scripts/run_all.py's runs reproduce the committed out/ byte for byte
+        name = args[0]
+        out = tmp_path / f"{name}.csv"
+        assert main(args + ["--seed", str(RUN_ALL.SEED), "--out", str(out)]) == 0
+        assert out.read_bytes() == (ROOT / "out" / f"{name}.csv").read_bytes()
 
 
 class TestExperiments:
@@ -159,16 +214,16 @@ class TestExperiments:
 
 class TestRngStream:
     def test_same_pair_same_sequence(self):
-        a = rng_stream(42, 0).random(1000)
-        b = rng_stream(42, 0).random(1000)
+        a = substream(42, 0).random(1000)
+        b = substream(42, 0).random(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_ids_differ(self):
-        a = rng_stream(42, 0).random(1000)
-        b = rng_stream(42, 1).random(1000)
+        a = substream(42, 0).random(1000)
+        b = substream(42, 1).random(1000)
         assert int(np.sum(a != b)) >= 990
 
     def test_distinct_seeds_differ(self):
-        a = rng_stream(42, 0).random(1000)
-        b = rng_stream(43, 0).random(1000)
+        a = substream(42, 0).random(1000)
+        b = substream(43, 0).random(1000)
         assert int(np.sum(a != b)) >= 990

@@ -19,7 +19,7 @@ from wmstat.dist import (
     tv_distance,
 )
 from wmstat.rates import hard_instance
-from wmstat.streams import rng_stream
+from wmstat.streams import substream
 
 
 class TestDiscreteDist:
@@ -38,6 +38,11 @@ class TestDiscreteDist:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             DiscreteDist(probs=(math.nan, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.float32("nan"), np.float32("inf"), np.float64("nan")])
+    def test_rejects_non_finite_numpy_scalars(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteDist(probs=(bad, 1.0))
 
     def test_exactness_flag(self):
         assert DiscreteDist.uniform(3).is_exact
@@ -191,19 +196,19 @@ class TestBinomExact:
 class TestSample:
     def test_point_mass(self):
         d = DiscreteDist.point_mass(4, 2)
-        rng = rng_stream(99)
+        rng = substream(99, 0)
         assert all(sample(d, rng) == 2 for _ in range(50))
 
     def test_uniform_frequency(self):
         d = DiscreteDist(probs=(0.5, 0.5))
-        draws = sample_many(d, rng_stream(7), 1_000_000)
+        draws = sample_many(d, substream(7, 0), 1_000_000)
         freq = float(np.mean(draws == 0))
         sigma = 0.5 / math.sqrt(1_000_000)
         assert abs(freq - 0.5) <= 4 * sigma
 
     def test_determinism(self):
         d = DiscreteDist(probs=(0.2, 0.3, 0.5))
-        rng_a, rng_b = rng_stream(3, 1), rng_stream(3, 1)
+        rng_a, rng_b = substream(3, 1), substream(3, 1)
         a = [sample(d, rng_a) for _ in range(100)]
         b = [sample(d, rng_b) for _ in range(100)]
         assert a == b
@@ -211,5 +216,5 @@ class TestSample:
 
     def test_zero_prob_outcome_never_drawn(self):
         d = DiscreteDist(probs=(0.0, 1.0, 0.0))
-        draws = sample_many(d, rng_stream(5), 10_000)
+        draws = sample_many(d, substream(5, 0), 10_000)
         assert set(draws.tolist()) == {1}

@@ -93,12 +93,6 @@ class TestMonteCarloProduct:
         with pytest.raises(ValueError):
             type2_product_mc(DiscreteDist.uniform(2), 2, 0.1, 50, 0)
 
-    def test_worker_invariance(self):
-        rho = DiscreteDist(probs=(0.7, 0.3))
-        a = type2_product_mc(rho, 4, 0.2, 50_000, 9, workers=1)
-        b = type2_product_mc(rho, 4, 0.2, 50_000, 9, workers=4)
-        assert a == b
-
     def test_twenty_random_instances(self):
         rng = np.random.default_rng(20)
         for _ in range(20):

@@ -269,13 +269,6 @@ class TestUmpSequence:
 
 
 class TestErrorEstimation:
-    def test_worker_invariance(self):
-        lm = fair_coin_lm()
-        scheme = SoftRedList(SoftRedListConfig(n=30, target_alpha=0.05, vocab_size=2))
-        a = estimate_errors(scheme, lm, trials=200, seed=50, workers=1)
-        b = estimate_errors(scheme, lm, trials=200, seed=50, workers=4)
-        assert a == b
-
     def test_trial_floor(self):
         lm = fair_coin_lm()
         scheme = SoftRedList(SoftRedListConfig(n=30, target_alpha=0.05, vocab_size=2))

@@ -69,6 +69,20 @@ def test_exact_mode_returns_fractions():
     assert s.objective == Fraction(5)
 
 
+def test_exact_mode_on_float_robust_lps():
+    # float coefficients straight from robust_lp_build: the residual check
+    # must multiply them by the exact point in exact arithmetic
+    rng = np.random.default_rng(8)
+    for i in range(40):
+        rho = DiscreteDist(probs=random_dist(rng, 8))
+        alpha = float(rng.uniform(0.05, 0.6))
+        edges = [(u, v) for u in range(8) for v in range(8) if u != v and rng.random() < 0.4]
+        p = robust_lp_build(rho, alpha, PerturbationGraph.from_edges(8, edges), bool(i % 2))
+        exact = simplex_solve(p, exact=True)
+        assert exact.status == "optimal"
+        assert float(exact.objective) == pytest.approx(simplex_solve(p).objective, abs=1e-9)
+
+
 def test_exact_matches_float_on_robust_lp():
     rho = DiscreteDist(probs=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     graph = PerturbationGraph.from_edges(3, [(0, 1), (1, 2)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_distortion, random_dist
+from oracles import grid_search_distortion, random_dist, ump_oracle
 from wmstat.dist import DiscreteDist, tv_distance
 from wmstat.ump import (
     EMPTY_REGION,
@@ -17,7 +17,6 @@ from wmstat.ump import (
     type1_exact,
     type2_exact,
     ump_coupling,
-    ump_oracle,
 )
 
 
