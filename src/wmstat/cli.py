@@ -186,6 +186,8 @@ def _run_robust(params: dict, seed: int) -> CsvTable:
     rows = []
     for name in params["graphs"].split("+"):
         graph = _graph_for(name, rho.k)
+        if graph.n != rho.k:
+            raise ConfigError(f"rho has {rho.k} outcomes but graph {name!r} has {graph.n} vertices")
         for sum_row in (False, True):
             beta, solution = robust.robust_optimal_type2(rho, alpha, graph, sum_row)
             rows.append(

@@ -13,7 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +32,23 @@ class ResourceLimit(ValueError):
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+
+
+def read_records(path: str | Path) -> list[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each non-blank, non-comment line.
+
+    Shared by the model and graph file readers.
+    """
+    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    return [(no, ln.split()) for no, ln in lines if ln.strip() and not ln.strip().startswith("#")]
+
+
+def parse_field(kind: Callable[[str], object], text: str, path, line: int):
+    """``kind(text)``, or a ValueError naming the file and the line."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}, line {line}: expected {kind.__name__}, got {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,8 @@ def n_required_empirical(
     _check_alpha(alpha)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > 100_000:
         raise ResourceLimit(f"n_max capped at 100000 for the exact scan, got {n_max}")
     entries = []

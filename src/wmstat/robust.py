@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dist import DiscreteDist, ResourceLimit, _check_alpha
+from .dist import DiscreteDist, ResourceLimit, _check_alpha, parse_field, read_records
 from .simplex import LpProblem, LpSolution, simplex_solve
 from .ump import EMPTY_REGION, Coupling, Region
 
@@ -81,20 +81,18 @@ def load_graph(path: str | Path) -> PerturbationGraph:
 
     Self-loops are added with a warning when the file omits them.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    records = read_records(path)
+    if not records:
         raise ValueError(f"graph file {path} is empty; expected 'vertices N' first")
-    head = lines[0].split()
+    line, head = records[0]
     if len(head) != 2 or head[0] != "vertices":
-        raise ValueError(f"first line must be 'vertices N', got {lines[0]!r}")
-    n = int(head[1])
+        raise ValueError(f"first line must be 'vertices N', got {' '.join(head)!r}")
+    n = parse_field(int, head[1], path, line)
     edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    for line, parts in records[1:]:
         if len(parts) != 2:
-            raise ValueError(f"expected 'u v' pair, got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"expected 'u v' pair, got {' '.join(parts)!r}")
+        edges.append(tuple(parse_field(int, part, path, line) for part in parts))
     missing = set(range(n)) - {u for u, v in edges if u == v}
     if missing:
         warnings.warn(

@@ -17,6 +17,14 @@ A fourth scheme wraps the optimal coupling itself at sequence level: the key
 regenerates the model output, and the rejection region is that single
 sequence, accepted with probability capped by the level.  All schemes share
 one protocol so their empirical Type I/II errors are directly comparable.
+
+Every scheme works on a batch of keys in three steps: ``keyed`` derives the
+draws a detector recomputes from each key, ``sample`` generates one token
+path per key through the model's one Markov sampler (``ToyLM.paths``), the
+scheme supplying only its per-position rule, and ``test`` detects.  Per-key
+``generate``/``detect`` are the batch of one and the error estimates run
+fixed-size blocks of trials; every result is bit-identical to running one key
+and one token at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import sample
-from .lm import ToyLM
+from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.sample
+from .lm import ToyLM, inverse_cdf
 from .streams import map_trials, substream
 
 # stream domains hanging off a watermark key
@@ -46,6 +54,8 @@ _D_UMP_COIN = 7
 _D_NULL_TEXT = 100
 _D_NULL_KEY = 101
 _D_WM_KEY = 102
+
+TRIAL_BLOCK = 128  # trials per batch in the error estimates: bounds memory at any trial count
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,30 @@ def erlang_upper_quantile(shape: int, alpha: float) -> float:
     return hi
 
 
+class _Scheme:
+    """Per-key ``generate``/``detect`` as the batch of one.
+
+    Subclasses supply, for a list of keys:
+    ``keyed(lm, keys, n)``, the draws a detector recomputes from each key for
+    text of length n; ``sample(lm, keys, keyed)``, the token paths
+    ``[len(keys), cfg.n]`` and one region description (meta) per key; and
+    ``test(lm, keys, keyed, tokens, meta)``, the statistic and the reject flag
+    per key for the token array ``tokens``.
+    """
+
+    def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
+        keys = [key]
+        tokens, meta = self.sample(lm, keys, self.keyed(lm, keys, self.cfg.n))
+        return GenRun(tokens=tuple(tokens[0].tolist()), meta=meta[0])
+
+    def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta=None) -> Detection:
+        keys = [key]
+        tokens = np.array([tuple(tokens)], dtype=np.int64)
+        keyed = self.keyed(lm, keys, tokens.shape[1])
+        statistic, reject = self.test(lm, keys, keyed, tokens, [meta])
+        return Detection(statistic=float(statistic[0]), reject=bool(reject[0]))
+
+
 # ---------------------------------------------------------------------------
 # soft red list
 
@@ -157,7 +191,7 @@ class SoftRedListConfig:
         return int(round(self.gamma * self.vocab_size))
 
 
-class SoftRedList:
+class SoftRedList(_Scheme):
     """Keyed green/red partition per position; boosted generation."""
 
     name = "soft-red-list"
@@ -173,37 +207,32 @@ class SoftRedList:
         np.put_along_axis(masks, perms[:, :g], True, axis=1)
         return masks
 
-    def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
+    def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
+        return np.stack([self._green_masks(key, n) for key in keys])
+
+    def sample(self, lm: ToyLM, keys, masks: np.ndarray):
         cfg = self.cfg
         if lm.vocab_size != cfg.vocab_size:
             raise ValueError("config vocab size must match the model")
-        masks = self._green_masks(key, cfg.n)
+        probs = lm.tables.probs
         boost = math.exp(cfg.delta)
-        rng = substream(key.seed, _D_PROVIDER)
-        tokens: list[int] = []
-        prev: int | None = None
-        for i in range(cfg.n):
-            row = np.asarray(lm.next_dist(prev).as_floats())
-            weights = np.where(masks[i], row * boost, row)
-            cdf = np.cumsum(weights)
-            r = rng.random() * cdf[-1]
-            prev = int(np.searchsorted(cdf, r, side="right"))
-            prev = min(prev, lm.vocab_size - 1)
-            tokens.append(prev)
-        return GenRun(tokens=tuple(tokens))
+        us = np.stack([substream(key.seed, _D_PROVIDER).random(cfg.n) for key in keys])
 
-    def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta=None) -> Detection:
+        def boosted(j: int, prev: np.ndarray) -> np.ndarray:
+            rows = probs[prev]
+            cdf = np.cumsum(np.where(masks[:, j], rows * boost, rows), axis=1)
+            return np.minimum(inverse_cdf(cdf, us[:, j] * cdf[:, -1], "right"), cfg.vocab_size - 1)
+
+        return lm.paths(len(keys), cfg.n, boosted), [None] * len(keys)
+
+    def test(self, lm: ToyLM, keys, masks: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
-        tokens = tuple(tokens)
-        n = len(tokens)
-        green = 0
-        if n:
-            masks = self._green_masks(key, n)
-            green = int(masks[np.arange(n), np.asarray(tokens)].sum())
+        count, n = tokens.shape
+        green = masks[np.arange(count)[:, None], np.arange(n), tokens].sum(axis=1)
         threshold = binomial_reject_threshold(
             n, cfg.green_size, cfg.vocab_size, cfg.target_alpha
         )
-        return Detection(statistic=float(green), reject=green >= threshold)
+        return green.astype(float), green >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +251,7 @@ class ChristBinaryConfig:
             raise ValueError(f"entropy threshold must be >= 0, got {self.entropy_threshold!r}")
 
 
-class ChristBinary:
+class ChristBinary(_Scheme):
     """Unkeyed entropy-accruing prefix, then keyed inverse-transform bits.
 
     The watermark start index is part of the transmitted region description.
@@ -235,46 +264,55 @@ class ChristBinary:
     def __init__(self, cfg: ChristBinaryConfig):
         self.cfg = cfg
 
-    def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
+    def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
+        """Keyed uniforms; the keyed token at position j uses draw j - start."""
+        return np.stack([substream(key.seed, _D_CHRIST_U).random(n) for key in keys])
+
+    def sample(self, lm: ToyLM, keys, us: np.ndarray):
         if lm.vocab_size != 2:
             raise ValueError("this scheme needs a binary model")
         cfg = self.cfg
-        rng_prefix = substream(key.seed, _D_PROVIDER)
-        rng_u = substream(key.seed, _D_CHRIST_U)
-        tokens: list[int] = []
-        prev: int | None = None
-        accrued = 0.0
-        start = cfg.n
-        for j in range(cfg.n):
-            row = lm.next_dist(prev)
-            if accrued >= cfg.entropy_threshold:
-                if start > j:
-                    start = j
-                u = rng_u.random()
-                tok = 1 if u <= float(row.probs[1]) else 0
-            else:
-                tok = sample(row, rng_prefix)
-                accrued += -math.log(float(row.probs[tok]))
-            tokens.append(tok)
-            prev = tok
-        return GenRun(tokens=tuple(tokens), meta=start)
+        tables = lm.tables
+        # the unkeyed prefix is positions 0..start-1, so it uses draws 0..start-1
+        prefix_us = np.stack([substream(key.seed, _D_PROVIDER).random(cfg.n) for key in keys])
+        paths = np.arange(len(keys))
+        accrued = np.zeros(len(keys))
+        drawn = np.zeros(len(keys), dtype=np.int64)  # keyed draws used: j - start once keyed
 
-    def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta) -> Detection:
+        def budgeted(j: int, prev: np.ndarray) -> np.ndarray:
+            keyed = accrued >= cfg.entropy_threshold
+            tok = np.where(
+                keyed,
+                us[paths, drawn] <= tables.probs[prev, 1],
+                inverse_cdf(tables.cdf[prev], prefix_us[:, j], "right"),
+            )
+            # keyed paths subtract 0.0, which leaves every float as it is
+            np.subtract(accrued, np.where(keyed, 0.0, tables.logp[prev, tok]), out=accrued)
+            np.add(drawn, keyed, out=drawn)
+            return tok
+
+        tokens = lm.paths(len(keys), cfg.n, budgeted)
+        return tokens, (cfg.n - drawn).tolist()  # the keyed positions are a suffix
+
+    def test(self, lm: ToyLM, keys, us: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
-        tokens = tuple(tokens)
-        start = int(meta)
-        if not 0 <= start <= len(tokens):
-            raise ValueError(f"start index {start} outside 0..{len(tokens)}")
-        m = len(tokens) - start
-        if m == 0:
-            return Detection(statistic=0.0, reject=False)
-        us = substream(key.seed, _D_CHRIST_U).random(m)
-        bits = np.asarray(tokens[start:])
-        vals = np.where(bits == 1, us, 1.0 - us)
-        with np.errstate(divide="ignore"):
-            statistic = float(np.sum(-np.log(vals)))
-        threshold = erlang_upper_quantile(m, cfg.target_alpha)
-        return Detection(statistic=statistic, reject=statistic >= threshold)
+        length = tokens.shape[1]
+        starts = np.array([int(start) for start in meta], dtype=np.int64)
+        for start in starts:
+            if not 0 <= start <= length:
+                raise ValueError(f"start index {start} outside 0..{length}")
+        statistic = np.zeros(len(tokens))
+        reject = np.zeros(len(tokens), dtype=bool)
+        # trials sharing a start sum rows of equal length: one row-wise np.sum
+        for start in np.unique(starts[starts < length]).tolist():
+            rows = np.flatnonzero(starts == start)
+            m = length - start
+            keyed_u = us[rows, :m]
+            vals = np.where(tokens[rows, start:] == 1, keyed_u, 1.0 - keyed_u)
+            with np.errstate(divide="ignore"):
+                statistic[rows] = np.sum(-np.log(vals), axis=1)
+            reject[rows] = statistic[rows] >= erlang_upper_quantile(m, cfg.target_alpha)
+        return statistic, reject
 
 
 # ---------------------------------------------------------------------------
@@ -306,50 +344,47 @@ class ItsConfig:
             )
 
 
-def _its_token(mu, u: float, perm: np.ndarray) -> int:
-    """Inverse transform through the CDF taken in permuted rank order."""
-    cum = np.cumsum(np.asarray(mu, dtype=float)[perm])
-    idx = int(np.searchsorted(cum, u, side="left"))
-    return int(perm[min(idx, len(perm) - 1)])
-
-
 def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray, window: int) -> np.ndarray:
     """Minimum block alignment cost for each keyed draw in the batch.
 
     cost[t, j, i] = sum over the window of |u[t, (j+l) % L] - rank of the
     token at i+l under position (j+l)'s permutation|.  Grouping (j, i) pairs
-    by their cyclic offset delta = j - i turns the cost tensor into sliding
-    diagonal views of the cyclically padded inputs (no gather) and the window
-    sums into cumulative-sum differences: one O(L^2) pass per batch row.
+    by their cyclic offset delta = j - i, text position b adds the ``[t, delta]``
+    slice ``b : b+L`` of one row of per-token costs over the cyclically padded
+    positions to a running prefix sum, and a window sum is that prefix sum
+    minus the one ``window`` positions back.  One streaming O(L^2) pass per
+    batch row with a ring of ``window + 1`` prefix sums, in float32: ties are
+    broken conservatively by the <= rank comparison.
     """
     batch, length = u_all.shape
-    u_pad = np.concatenate([u_all, u_all[:, :-1]], axis=1).astype(np.float32)
-    # [t, delta, b] = u[t, (delta + b) % L]
-    u_diag = np.lib.stride_tricks.sliding_window_view(u_pad, length, axis=1)
+    # [padded position i, t]: positions run along the first axis, so each
+    # slice b : b+L below is one contiguous [delta, t] block
+    u_pad = np.concatenate([u_all, u_all[:, :-1]], axis=1).T.astype(np.float32)
+    seen, token_row = np.unique(tokens, return_inverse=True)
     if rank_norm.ndim == 1:
         # one permutation everywhere: the rank only depends on the token
-        r_tok = rank_norm[tokens].astype(np.float32)
-        diag = np.abs(u_diag - r_tok[None, None, :])
+        ranks = rank_norm[seen].astype(np.float32)[:, None, None]
     else:
-        per_token = rank_norm[
-            np.arange(batch)[:, None, None],
-            np.arange(length)[None, :, None],
-            tokens[None, None, :],
-        ].astype(np.float32)  # [t, xi position, y position]
-        pad = np.concatenate([per_token, per_token[:, : length - 1, :]], axis=1)
-        s0, s1, s2 = pad.strides
-        rank_diag = np.lib.stride_tricks.as_strided(
-            pad, shape=(batch, length, length), strides=(s0, s1, s1 + s2), writeable=False
-        )  # [t, delta, b] = rank under pi_{(delta+b) % L} of token at b
-        diag = np.abs(u_diag - rank_diag)
-    # float32 costs: ties broken conservatively by the <= rank comparison
-    summed = np.cumsum(diag, axis=2, dtype=np.float32)
-    window_sums = summed[:, :, window - 1 :].copy()
-    window_sums[:, :, 1:] -= summed[:, :, :-window]
-    return window_sums.min(axis=(1, 2))
+        r_pad = np.concatenate([rank_norm, rank_norm[:, :-1]], axis=1)  # [t, position, token]
+        ranks = r_pad[:, :, seen].transpose(2, 1, 0).astype(np.float32)
+    # [token row, i, t]: |u at i - rank of that token under pi_{i % L}|
+    costs = np.abs(u_pad - ranks)
+    ring = np.empty((window + 1, length, batch), dtype=np.float32)
+    ring[-1] = 0.0  # the prefix sum before position 0
+    diff = np.empty((length, batch), dtype=np.float32)
+    best = np.full((length, batch), np.inf, dtype=np.float32)
+    for b in range(length):
+        prefix = ring[b % (window + 1)]
+        np.add(ring[(b - 1) % (window + 1)], costs[token_row[b], b : b + length], out=prefix)
+        if b >= window:
+            np.subtract(prefix, ring[(b - window) % (window + 1)], out=diff)
+            np.minimum(best, diff, out=best)
+        elif b == window - 1:
+            np.minimum(best, prefix, out=best)
+    return best.min(axis=0)
 
 
-class InverseTransform:
+class InverseTransform(_Scheme):
     """Keyed permuted-CDF sampling; alignment-rank permutation test."""
 
     name = "inverse-transform"
@@ -367,18 +402,16 @@ class InverseTransform:
             perms = np.stack([rng_pi.permutation(cfg.vocab_size) for _ in range(n)])
         return us, perms
 
-    def _resampled_xi(self, key: WatermarkKey, n: int, perms: np.ndarray):
+    def _with_resamples(self, key: WatermarkKey, us: np.ndarray, perms: np.ndarray):
+        """Uniforms ``[R+1, L]`` and normalised ranks of the keyed draw, then its resamples."""
         cfg = self.cfg
-        t = cfg.resamples
+        t, n = cfg.resamples, len(us)
         rng = substream(key.seed, _D_ITS_RESAMPLE)
-        u_res = rng.random((t, n))
+        u_all = np.concatenate([us[None, :], rng.random((t, n))], axis=0)
         if cfg.shared_permutation:
-            perm_res = np.broadcast_to(perms[0], (t, n, cfg.vocab_size))
-        else:
-            perm_res = np.stack(
-                [np.stack([rng.permutation(cfg.vocab_size) for _ in range(n)]) for _ in range(t)]
-            )
-        return u_res, perm_res
+            return u_all, self._ranks(perms[0], cfg.vocab_size)
+        perm_res = [np.stack([rng.permutation(cfg.vocab_size) for _ in range(n)]) for _ in range(t)]
+        return u_all, self._ranks(np.stack([perms, *perm_res]), cfg.vocab_size)
 
     @staticmethod
     def _ranks(perms: np.ndarray, vocab: int) -> np.ndarray:
@@ -387,37 +420,36 @@ class InverseTransform:
         np.put_along_axis(ranks, perms, np.broadcast_to(np.arange(vocab), perms.shape), axis=-1)
         return ranks / max(vocab - 1, 1)
 
-    def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
+    def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
+        us, perms = zip(*(self._xi(key, n) for key in keys))
+        return np.stack(us), np.stack(perms)
+
+    def sample(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray]):
         cfg = self.cfg
         if lm.vocab_size != cfg.vocab_size:
             raise ValueError("config vocab size must match the model")
-        us, perms = self._xi(key, cfg.n)
-        tokens: list[int] = []
-        prev: int | None = None
-        for j in range(cfg.n):
-            prev = _its_token(lm.next_dist(prev).as_floats(), us[j], perms[j])
-            tokens.append(prev)
-        return GenRun(tokens=tuple(tokens), meta=(us, perms))
+        us, perms = xi
+        probs = lm.tables.probs
+        paths = np.arange(len(keys))
 
-    def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta=None) -> Detection:
+        def permuted(j: int, prev: np.ndarray) -> np.ndarray:
+            """Inverse transform through the CDF taken in permuted rank order."""
+            perm = perms[:, j]
+            cum = np.cumsum(probs[prev[:, None], perm], axis=1)
+            return perm[paths, np.minimum(inverse_cdf(cum, us[:, j], "left"), cfg.vocab_size - 1)]
+
+        return lm.paths(len(keys), cfg.n, permuted), list(zip(us, perms))
+
+    def test(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray], tokens: np.ndarray, meta):
         cfg = self.cfg
-        tokens = np.asarray(tuple(tokens))
-        length = len(tokens)
+        length = tokens.shape[1]
         if length < cfg.block_k:
             raise ValueError(f"need at least {cfg.block_k} tokens, got {length}")
-        us, perms = self._xi(key, length)
-        u_res, perm_res = self._resampled_xi(key, length, perms)
-        u_all = np.concatenate([us[None, :], u_res], axis=0)
-        if cfg.shared_permutation:
-            rank_all = self._ranks(perms[0], cfg.vocab_size)
-        else:
-            rank_all = np.concatenate(
-                [self._ranks(perms, cfg.vocab_size)[None], self._ranks(perm_res, cfg.vocab_size)],
-                axis=0,
-            )
-        phi = _alignment_phi(u_all, rank_all, tokens, cfg.block_k - 1)
-        p_value = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
-        return Detection(statistic=p_value, reject=p_value <= cfg.target_alpha)
+        p_values = np.empty(len(keys))
+        for i, (key, us, perms) in enumerate(zip(keys, *xi)):
+            phi = _alignment_phi(*self._with_resamples(key, us, perms), tokens[i], cfg.block_k - 1)
+            p_values[i] = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
+        return p_values, p_values <= cfg.target_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +465,7 @@ class UmpSequenceConfig:
         _check_common(self.n, self.target_alpha)
 
 
-class UmpSequence:
+class UmpSequence(_Scheme):
     """Key regenerates the model output; region is that sequence, clipped.
 
     The region is the singleton {X} with probability min(1, alpha / P(X)),
@@ -446,21 +478,27 @@ class UmpSequence:
     def __init__(self, cfg: UmpSequenceConfig):
         self.cfg = cfg
 
-    def _region(self, lm: ToyLM, key: WatermarkKey) -> tuple[tuple[int, ...], bool]:
-        x = lm.sample_sequence(self.cfg.n, substream(key.seed, _D_UMP_X))
-        log_accept = math.log(self.cfg.target_alpha) - lm.sequence_logprob(x)
-        accept_p = 1.0 if log_accept >= 0.0 else math.exp(log_accept)
-        coin = substream(key.seed, _D_UMP_COIN).random()
-        return x, coin <= accept_p
+    def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's region: its sequence X of the configured length, whatever
+        the text length n, and whether the region is live."""
+        cfg = self.cfg
+        us = np.stack([substream(key.seed, _D_UMP_X).random(cfg.n) for key in keys])
+        x = lm.sample_paths(us)
+        log_accept = (math.log(cfg.target_alpha) - lm.logprobs(x)).tolist()
+        live = [
+            substream(key.seed, _D_UMP_COIN).random() <= (1.0 if la >= 0.0 else math.exp(la))
+            for key, la in zip(keys, log_accept)
+        ]
+        return x, np.array(live)
 
-    def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
-        x, _ = self._region(lm, key)
-        return GenRun(tokens=x)
+    def sample(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray]):
+        return region[0], [None] * len(keys)
 
-    def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta=None) -> Detection:
-        x, live = self._region(lm, key)
-        reject = live and tuple(tokens) == x
-        return Detection(statistic=1.0 if reject else 0.0, reject=reject)
+    def test(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray], tokens, meta):
+        x, live = region
+        same = (tokens == x).all(axis=1) if tokens.shape == x.shape else False
+        reject = live & same
+        return reject.astype(float), reject
 
 
 # ---------------------------------------------------------------------------
@@ -471,37 +509,39 @@ def _trial_key(seed: int, domain: int, trial: int) -> WatermarkKey:
     return WatermarkKey(seed=int(substream(seed, domain, trial).integers(1 << 62)))
 
 
-def estimate_type1(scheme, lm: ToyLM, trials: int, seed: int) -> tuple[float, float]:
-    """Rejection rate on independent model text, with binomial stderr.
+def _rejections(scheme, lm: ToyLM, trials: int, seed: int, null_text: bool) -> int:
+    """Rejections over ``trials`` keyed trials, run in blocks of TRIAL_BLOCK.
 
-    Each trial realizes a region with a fresh keyed run and tests text the
-    key never saw.
+    Each trial realizes a region with a fresh keyed run and tests either that
+    run's text or, with ``null_text``, model text the key never saw.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     n = scheme.cfg.n
+    domain = _D_NULL_KEY if null_text else _D_WM_KEY
 
-    def null_trial(t: int) -> float:
-        key = _trial_key(seed, _D_NULL_KEY, t)
-        run = scheme.generate(lm, key)
-        text = lm.sample_sequence(n, substream(seed, _D_NULL_TEXT, t))
-        return 1.0 if scheme.detect(lm, key, text, run.meta).reject else 0.0
+    def block(b: int) -> int:
+        ts = range(b * TRIAL_BLOCK, min((b + 1) * TRIAL_BLOCK, trials))
+        keys = [_trial_key(seed, domain, t) for t in ts]
+        keyed = scheme.keyed(lm, keys, n)
+        tokens, meta = scheme.sample(lm, keys, keyed)
+        if null_text:
+            us = np.stack([substream(seed, _D_NULL_TEXT, t).random(n) for t in ts])
+            tokens = lm.sample_paths(us)
+        return int(np.count_nonzero(scheme.test(lm, keys, keyed, tokens, meta)[1]))
 
-    rate = math.fsum(map_trials(null_trial, trials)) / trials
+    return sum(map_trials(block, -(-trials // TRIAL_BLOCK)))
+
+
+def estimate_type1(scheme, lm: ToyLM, trials: int, seed: int) -> tuple[float, float]:
+    """Rejection rate on independent model text, with binomial stderr."""
+    rate = _rejections(scheme, lm, trials, seed, null_text=True) / trials
     return rate, math.sqrt(rate * (1.0 - rate) / trials)
 
 
 def estimate_type2(scheme, lm: ToyLM, trials: int, seed: int) -> tuple[float, float]:
     """Miss rate on watermarked text, with binomial stderr."""
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
-
-    def wm_trial(t: int) -> float:
-        key = _trial_key(seed, _D_WM_KEY, t)
-        run = scheme.generate(lm, key)
-        return 0.0 if scheme.detect(lm, key, run.tokens, run.meta).reject else 1.0
-
-    rate = math.fsum(map_trials(wm_trial, trials)) / trials
+    rate = (trials - _rejections(scheme, lm, trials, seed, null_text=False)) / trials
     return rate, math.sqrt(rate * (1.0 - rate) / trials)
 
 

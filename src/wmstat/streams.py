@@ -30,8 +30,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def map_trials(fn: Callable[[int], T], n_trials: int) -> list[T]:
-    """Evaluate ``fn(t)`` for t = 0..n_trials-1, in trial order.
+    """Evaluate ``fn(t)`` for t = 0..n_trials-1, in order.
 
-    ``fn`` must derive any randomness from its trial index via ``substream``.
+    A unit t is one trial or one fixed block of trials: ``rates`` maps its
+    Monte Carlo sample blocks and ``schemes`` its blocks of keyed trials.
+    ``fn`` must derive any randomness from its index via ``substream``.
     """
     return [fn(t) for t in range(n_trials)]

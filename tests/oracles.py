@@ -2,10 +2,12 @@
 
 Everything here is deliberately brute force: Pascal's recurrence, exhaustive
 vertex enumeration, grid search over perturbation balls, exact-rational
-re-summation.  None of it shares code paths with the library, except that
-``ump_oracle`` solves its exhaustive LP with the library's simplex (itself
-checked against ``vertex_enumeration_optimum``) and
-``max_type2_loss_telescoping`` validates its input with ``integrality_check``.
+re-summation, one-token-at-a-time samplers.  None of it shares code paths
+with the library, except that ``ump_oracle`` solves its exhaustive LP with the
+library's simplex (itself checked against ``vertex_enumeration_optimum``),
+``max_type2_loss_telescoping`` validates its input with ``integrality_check``,
+and the per-token scheme loops take their keyed streams (``substream``
+domains, green masks, ITS keys and resamples) from the schemes themselves.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from wmstat import schemes as sch
 from wmstat.agnostic import integrality_check
-from wmstat.dist import DiscreteDist
+from wmstat.dist import DiscreteDist, sample
 from wmstat.simplex import LpProblem, simplex_solve
+from wmstat.streams import substream
 
 ORACLE_MAX_OUTCOMES = 4
 
@@ -225,3 +229,180 @@ def random_dist(rng: np.random.Generator, k: int, spread: float = 1.0):
     w = rng.dirichlet(np.full(k, spread))
     w = w / w.sum()
     return tuple(float(v) for v in w)
+
+
+# ---------------------------------------------------------------------------
+# per-token references for the batched sampler: one key, one token at a time
+
+
+def sample_sequence_loop(lm, n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    tokens = []
+    prev = None
+    for _ in range(n):
+        prev = sample(lm.next_dist(prev), rng)
+        tokens.append(prev)
+    return tuple(tokens)
+
+
+def sequence_logprob_loop(lm, tokens) -> float:
+    log_p = 0.0
+    prev = None
+    for tok in tokens:
+        p = float(lm.next_dist(prev).probs[tok])
+        if p <= 0.0:
+            return -math.inf
+        log_p += math.log(p)
+        prev = tok
+    return log_p
+
+
+def its_token(mu, u: float, perm: np.ndarray) -> int:
+    """Inverse transform through the CDF taken in permuted rank order."""
+    cum = np.cumsum(np.asarray(mu, dtype=float)[perm])
+    idx = int(np.searchsorted(cum, u, side="left"))
+    return int(perm[min(idx, len(perm) - 1)])
+
+
+def srl_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], None]:
+    cfg = scheme.cfg
+    masks = scheme._green_masks(key, cfg.n)
+    boost = math.exp(cfg.delta)
+    rng = substream(key.seed, sch._D_PROVIDER)
+    tokens = []
+    prev = None
+    for i in range(cfg.n):
+        row = np.asarray(lm.next_dist(prev).as_floats())
+        cdf = np.cumsum(np.where(masks[i], row * boost, row))
+        r = rng.random() * cdf[-1]
+        prev = min(int(np.searchsorted(cdf, r, side="right")), lm.vocab_size - 1)
+        tokens.append(prev)
+    return tuple(tokens), None
+
+
+def srl_detect_loop(scheme, lm, key, tokens, meta=None) -> tuple[float, bool]:
+    cfg = scheme.cfg
+    n = len(tokens)
+    green = 0
+    if n:
+        masks = scheme._green_masks(key, n)
+        green = int(masks[np.arange(n), np.asarray(tokens)].sum())
+    threshold = sch.binomial_reject_threshold(n, cfg.green_size, cfg.vocab_size, cfg.target_alpha)
+    return float(green), green >= threshold
+
+
+def christ_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], int]:
+    cfg = scheme.cfg
+    rng_prefix = substream(key.seed, sch._D_PROVIDER)
+    rng_u = substream(key.seed, sch._D_CHRIST_U)
+    tokens = []
+    prev = None
+    accrued = 0.0
+    start = cfg.n
+    for j in range(cfg.n):
+        row = lm.next_dist(prev)
+        if accrued >= cfg.entropy_threshold:
+            start = min(start, j)
+            tok = 1 if rng_u.random() <= float(row.probs[1]) else 0
+        else:
+            tok = sample(row, rng_prefix)
+            accrued += -math.log(float(row.probs[tok]))
+        tokens.append(tok)
+        prev = tok
+    return tuple(tokens), start
+
+
+def christ_detect_loop(scheme, lm, key, tokens, meta) -> tuple[float, bool]:
+    m = len(tokens) - meta
+    if m == 0:
+        return 0.0, False
+    us = substream(key.seed, sch._D_CHRIST_U).random(m)
+    vals = np.where(np.asarray(tokens[meta:]) == 1, us, 1.0 - us)
+    with np.errstate(divide="ignore"):
+        statistic = float(np.sum(-np.log(vals)))
+    return statistic, statistic >= sch.erlang_upper_quantile(m, scheme.cfg.target_alpha)
+
+
+def its_generate_loop(scheme, lm, key):
+    us, perms = scheme._xi(key, scheme.cfg.n)
+    tokens = []
+    prev = None
+    for j in range(scheme.cfg.n):
+        prev = its_token(lm.next_dist(prev).as_floats(), us[j], perms[j])
+        tokens.append(prev)
+    return tuple(tokens), (us, perms)
+
+
+def alignment_phi_tensor(u_all, rank_norm, tokens, window) -> np.ndarray:
+    """The alignment minimum through the whole [batch, L, L] cost tensor."""
+    batch, length = u_all.shape
+    u_pad = np.concatenate([u_all, u_all[:, :-1]], axis=1).astype(np.float32)
+    u_diag = np.lib.stride_tricks.sliding_window_view(u_pad, length, axis=1)
+    if rank_norm.ndim == 1:
+        diag = np.abs(u_diag - rank_norm[tokens].astype(np.float32)[None, None, :])
+    else:
+        per_token = rank_norm[
+            np.arange(batch)[:, None, None],
+            np.arange(length)[None, :, None],
+            tokens[None, None, :],
+        ].astype(np.float32)
+        pad = np.concatenate([per_token, per_token[:, : length - 1, :]], axis=1)
+        s0, s1, s2 = pad.strides
+        rank_diag = np.lib.stride_tricks.as_strided(
+            pad, shape=(batch, length, length), strides=(s0, s1, s1 + s2), writeable=False
+        )
+        diag = np.abs(u_diag - rank_diag)
+    summed = np.cumsum(diag, axis=2, dtype=np.float32)
+    window_sums = summed[:, :, window - 1 :].copy()
+    window_sums[:, :, 1:] -= summed[:, :, :-window]
+    return window_sums.min(axis=(1, 2))
+
+
+def its_detect_loop(scheme, lm, key, tokens, meta=None) -> tuple[float, bool]:
+    cfg = scheme.cfg
+    tokens = np.asarray(tuple(tokens))
+    length = len(tokens)
+    u_all, rank_all = scheme._with_resamples(key, *scheme._xi(key, length))
+    phi = alignment_phi_tensor(u_all, rank_all, tokens, cfg.block_k - 1)
+    p_value = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
+    return p_value, p_value <= cfg.target_alpha
+
+
+def ump_region_loop(scheme, lm, key) -> tuple[tuple[int, ...], bool]:
+    cfg = scheme.cfg
+    x = sample_sequence_loop(lm, cfg.n, substream(key.seed, sch._D_UMP_X))
+    log_accept = math.log(cfg.target_alpha) - sequence_logprob_loop(lm, x)
+    accept_p = 1.0 if log_accept >= 0.0 else math.exp(log_accept)
+    return x, substream(key.seed, sch._D_UMP_COIN).random() <= accept_p
+
+
+def ump_generate_loop(scheme, lm, key):
+    return ump_region_loop(scheme, lm, key)[0], None
+
+
+def ump_detect_loop(scheme, lm, key, tokens, meta=None) -> tuple[float, bool]:
+    x, live = ump_region_loop(scheme, lm, key)
+    reject = live and tuple(tokens) == x
+    return (1.0 if reject else 0.0), reject
+
+
+SCHEME_LOOPS = {
+    sch.SoftRedList: (srl_generate_loop, srl_detect_loop),
+    sch.ChristBinary: (christ_generate_loop, christ_detect_loop),
+    sch.InverseTransform: (its_generate_loop, its_detect_loop),
+    sch.UmpSequence: (ump_generate_loop, ump_detect_loop),
+}
+
+
+def estimate_loop(scheme, lm, trials: int, seed: int, null_text: bool) -> float:
+    """Type I (``null_text``) or Type II rate, one trial and one token at a time."""
+    generate, detect = SCHEME_LOOPS[type(scheme)]
+    domain = sch._D_NULL_KEY if null_text else sch._D_WM_KEY
+    hits = []
+    for t in range(trials):
+        key = sch._trial_key(seed, domain, t)
+        tokens, meta = generate(scheme, lm, key)
+        if null_text:
+            tokens = sample_sequence_loop(lm, scheme.cfg.n, substream(seed, sch._D_NULL_TEXT, t))
+        reject = detect(scheme, lm, key, tokens, meta)[1]
+        hits.append(1.0 if reject == null_text else 0.0)
+    return math.fsum(hits) / trials

@@ -240,12 +240,12 @@ def test_criterion_8_scheme_calibration_and_dominance():
         christ = schemes.ChristBinary(
             schemes.ChristBinaryConfig(n=8, target_alpha=0.05, entropy_threshold=3.0)
         )
-        tv = empirical_sequence_tv(lm2, lambda k: christ.generate(lm2, k).tokens, 8, 30_000)
+        tv = empirical_sequence_tv(lm2, christ, 8, 30_000)
         assert tv <= tv_tolerance(256, 30_000)
         its_small = schemes.InverseTransform(
             schemes.ItsConfig(n=4, target_alpha=0.05, resamples=19, block_k=3, vocab_size=2)
         )
-        tv = empirical_sequence_tv(lm2, lambda k: its_small.generate(lm2, k).tokens, 4, 30_000)
+        tv = empirical_sequence_tv(lm2, its_small, 4, 30_000)
         assert tv <= tv_tolerance(16, 30_000)
 
         # dominance: optimal coupling's miss rate never exceeds any scheme's

@@ -10,14 +10,14 @@ from wmstat.streams import substream
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_run_all():
-    spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-RUN_ALL = _load_run_all()
+RUN_ALL = _load_script("run_all")
 
 
 def run_cli(args, capsys=None):
@@ -102,6 +102,34 @@ class TestConfigParsing:
         assert main(["schemes", "--lm", f"@{path}", "--scheme", "srl", "--seed", "1"]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, text, line",
+        [
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices x\n", 1),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "# edges\nvertices 2\n\n0 y\n", 4),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab x\n0.5 0.5\n", 1),
+        ],
+        ids=["vertices", "edge", "vocab"],
+    )
+    def test_non_integer_field_names_file_and_line(self, tmp_path, capsys, args, text, line):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        assert main(args + [f"@{path}", "--seed", "1"]) == 2
+        assert f"{path}, line {line}: expected int" in capsys.readouterr().err
+
+    def test_rho_graph_size_mismatch_names_key_and_graph(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("vertices 2\n0 0\n1 1\n0 1\n")
+        assert main(["robust", "--rho", "0.5,0.3,0.2", "--graphs", f"@{path}", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "rho" in err and str(path) in err
+
+    def test_n_max_below_one(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["rates", "--n_max", "0", "--seed", "1", "--out", str(out)]) == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCsvContract:
     def test_rates_columns_and_exit(self, tmp_path):
@@ -153,6 +181,18 @@ class TestCsvContract:
         out = tmp_path / f"{name}.csv"
         assert main(args + ["--seed", str(RUN_ALL.SEED), "--out", str(out)]) == 0
         assert out.read_bytes() == (ROOT / "out" / f"{name}.csv").read_bytes()
+
+    @pytest.mark.skipif(
+        not all((ROOT / "out" / f"scheme_power.{ext}").exists() for ext in ("csv", "svg")),
+        reason="no out/scheme_power.csv or .svg: out/ is matched by .gitignore",
+    )
+    def test_golden_scheme_power(self, tmp_path, monkeypatch):
+        # scripts/scheme_power_study.py reproduces the committed out/ byte for byte
+        study = _load_script("scheme_power_study")
+        monkeypatch.setattr(study, "OUT", tmp_path)
+        study.run()
+        for name in ("scheme_power.csv", "scheme_power.svg"):
+            assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes()
 
 
 class TestExperiments:

@@ -4,8 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
+from oracles import its_token
 from wmstat.lm import (ToyLM, biased_binary_lm, deterministic_lm, drifting_lm,
                        fair_coin_lm, load_lm, save_lm)
+from wmstat.streams import substream
 from wmstat.schemes import (
     ChristBinary,
     ChristBinaryConfig,
@@ -15,8 +18,9 @@ from wmstat.schemes import (
     SoftRedListConfig,
     UmpSequence,
     UmpSequenceConfig,
+    TRIAL_BLOCK,
     WatermarkKey,
-    _its_token,
+    _alignment_phi,
     binomial_reject_threshold,
     erlang_upper_quantile,
     estimate_errors,
@@ -27,11 +31,14 @@ from wmstat.schemes import (
 LN2 = math.log(2)
 
 
-def empirical_sequence_tv(lm: ToyLM, tokens_of_key, n: int, keys: int) -> float:
-    """TV between the law of generated sequences over keys and the model law."""
-    counts: Counter = Counter()
-    for t in range(keys):
-        counts[tokens_of_key(WatermarkKey(seed=900_000 + t))] += 1
+def empirical_sequence_tv(lm: ToyLM, scheme, n: int, keys: int) -> float:
+    """TV between the law of generated sequences over keys and the model law.
+
+    All keys go through one batched generation call.
+    """
+    batch = [WatermarkKey(seed=900_000 + t) for t in range(keys)]
+    tokens, _ = scheme.sample(lm, batch, scheme.keyed(lm, batch, n))
+    counts = Counter(map(tuple, tokens.tolist()))
     exact = {tuple(seq): p for seq, p in lm.enumerate_sequences(n)}
     support = set(exact) | set(counts)
     return 0.5 * sum(
@@ -79,7 +86,7 @@ class TestSoftRedList:
     def test_zero_boost_distortion_free(self):
         lm = fair_coin_lm()
         scheme = SoftRedList(self.cfg(n=4, delta=0.0))
-        tv = empirical_sequence_tv(lm, lambda k: scheme.generate(lm, k).tokens, 4, 40_000)
+        tv = empirical_sequence_tv(lm, scheme, 4, 40_000)
         assert tv <= tv_tolerance(16, 40_000)
 
     def test_boost_raises_green_frequency(self):
@@ -105,9 +112,7 @@ class TestSoftRedList:
         for delta in (0.0, 0.5, 1.0, 2.0, 4.0):
             scheme = SoftRedList(self.cfg(n=3, delta=delta))
             # common random numbers: the same key range for every delta
-            tvs.append(
-                empirical_sequence_tv(lm, lambda k: scheme.generate(lm, k).tokens, 3, 30_000)
-            )
+            tvs.append(empirical_sequence_tv(lm, scheme, 3, 30_000))
         assert all(b > a for a, b in zip(tvs, tvs[1:]))
 
     def test_null_calibration(self):
@@ -152,7 +157,7 @@ class TestChristBinary:
     def test_distortion_free_marginal(self):
         lm = fair_coin_lm()
         scheme = ChristBinary(ChristBinaryConfig(n=8, target_alpha=0.05, entropy_threshold=3.0))
-        tv = empirical_sequence_tv(lm, lambda k: scheme.generate(lm, k).tokens, 8, 100_000)
+        tv = empirical_sequence_tv(lm, scheme, 8, 100_000)
         assert tv <= tv_tolerance(256, 100_000)
 
     def test_null_calibration(self):
@@ -179,9 +184,9 @@ class TestChristBinary:
 class TestInverseTransform:
     def test_token_example(self):
         # u beyond the first rank's mass picks the last token in CDF order
-        assert _its_token((0.5, 0.5), 0.999, np.array([0, 1])) == 1
-        assert _its_token((0.5, 0.5), 0.3, np.array([0, 1])) == 0
-        assert _its_token((0.5, 0.5), 0.999, np.array([1, 0])) == 0
+        assert its_token((0.5, 0.5), 0.999, np.array([0, 1])) == 1
+        assert its_token((0.5, 0.5), 0.3, np.array([0, 1])) == 0
+        assert its_token((0.5, 0.5), 0.999, np.array([1, 0])) == 0
 
     def test_determinism(self):
         lm = drifting_lm(4)
@@ -198,7 +203,7 @@ class TestInverseTransform:
         scheme = InverseTransform(
             ItsConfig(n=4, target_alpha=0.05, resamples=19, block_k=3, vocab_size=2)
         )
-        tv = empirical_sequence_tv(lm, lambda k: scheme.generate(lm, k).tokens, 4, 100_000)
+        tv = empirical_sequence_tv(lm, scheme, 4, 100_000)
         assert tv <= tv_tolerance(16, 100_000)
 
     def test_null_calibration(self):
@@ -332,3 +337,152 @@ class TestToyLmIo:
             probs[seq] = p
         assert sum(probs.values()) == pytest.approx(1.0)
         assert probs[(0, 1, 1)] == pytest.approx(0.125)
+
+
+MODELS = {
+    "fair-coin": fair_coin_lm(),
+    "biased-binary": biased_binary_lm(),
+    "drifting6": drifting_lm(6),
+    "deterministic2": deterministic_lm(2),
+    "deterministic6": deterministic_lm(6),
+}
+BLOCK_K = 10
+
+
+def engine_schemes(lm: ToyLM, n: int, alpha: float = 0.05):
+    """Every scheme the model and length allow, with small ITS resample counts."""
+    vocab = lm.vocab_size
+    out = [
+        SoftRedList(SoftRedListConfig(n=n, target_alpha=alpha, vocab_size=vocab)),
+        UmpSequence(UmpSequenceConfig(n=n, target_alpha=alpha)),
+    ]
+    if vocab == 2:
+        out.append(ChristBinary(ChristBinaryConfig(n=n, target_alpha=alpha)))
+    if n >= BLOCK_K:
+        for shared in (True, False):
+            cfg = ItsConfig(
+                n=n, target_alpha=alpha, resamples=19, block_k=BLOCK_K,
+                vocab_size=vocab, shared_permutation=shared,
+            )
+            out.append(InverseTransform(cfg))
+    return out
+
+
+def same_meta(a, b) -> bool:
+    if isinstance(a, tuple):  # ITS: the keyed (us, perms)
+        return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+    return a == b and type(a) is type(b)
+
+
+class TestBatchedEngine:
+    """The batched sampler and detectors against the per-token loops in oracles.py."""
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_K, 100])
+    def test_sample_sequence_and_logprob_match_loops(self, model, n):
+        lm = MODELS[model]
+        for t in range(20):
+            tokens = lm.sample_sequence(n, substream(17, t))
+            assert tokens == oracles.sample_sequence_loop(lm, n, substream(17, t))
+            assert lm.sequence_logprob(tokens) == oracles.sequence_logprob_loop(lm, tokens)
+        # off-model paths: zero-probability steps give -inf on both sides
+        for t in range(20):
+            tokens = tuple(substream(18, t).integers(lm.vocab_size, size=n).tolist())
+            assert lm.sequence_logprob(tokens) == oracles.sequence_logprob_loop(lm, tokens)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_K, 100])
+    def test_generation_matches_loops(self, model, n):
+        lm = MODELS[model]
+        keys = [WatermarkKey(seed=5000 + t) for t in range(37)]
+        for scheme in engine_schemes(lm, n):
+            loop = oracles.SCHEME_LOOPS[type(scheme)][0]
+            want = [loop(scheme, lm, key) for key in keys]
+            tokens, meta = scheme.sample(lm, keys, scheme.keyed(lm, keys, n))
+            assert tokens.shape == (len(keys), n)
+            for key, row, m, (want_tokens, want_meta) in zip(keys, tokens, meta, want):
+                assert tuple(row.tolist()) == want_tokens, scheme.name
+                assert same_meta(m, want_meta), scheme.name
+                run = scheme.generate(lm, key)
+                assert run.tokens == want_tokens and same_meta(run.meta, want_meta), scheme.name
+
+    def test_ties_break_as_the_loops_do(self):
+        # a uniform equal to a CDF value: model draws go right, ITS draws go left
+        lm = fair_coin_lm()
+        assert lm.sample_paths(np.full((1, 3), 0.5)).tolist() == [[1, 1, 1]]
+        scheme = InverseTransform(ItsConfig(n=3, target_alpha=0.1, resamples=19, block_k=2))
+        perms = np.array([[[0, 1], [1, 0], [0, 1]]])
+        us = np.full((1, 3), 0.5)
+        tokens, _ = scheme.sample(lm, [WatermarkKey(1)], (us, perms))
+        want = [its_token((0.5, 0.5), 0.5, perm) for perm in perms[0]]
+        assert tokens.tolist() == [want] == [[0, 1, 0]]
+
+    def test_keyed_binary_never_leaves_prefix_on_point_masses(self):
+        lm = MODELS["deterministic2"]
+        scheme = ChristBinary(ChristBinaryConfig(n=100, target_alpha=0.05))
+        keys = [WatermarkKey(seed=t) for t in range(5)]
+        tokens, starts = scheme.sample(lm, keys, scheme.keyed(lm, keys, 100))
+        assert starts == [100] * 5
+        assert all(oracles.christ_generate_loop(scheme, lm, key)[1] == 100 for key in keys)
+        assert (tokens == np.arange(100) % 2).all()
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_detection_matches_loops(self, model):
+        # texts of a length other than the configured one go through the batch of one too
+        lm = MODELS[model]
+        for scheme in engine_schemes(lm, 40):
+            generate, detect = oracles.SCHEME_LOOPS[type(scheme)]
+            for t in range(6):
+                key = WatermarkKey(seed=7000 + t)
+                tokens, meta = generate(scheme, lm, key)
+                other = oracles.sample_sequence_loop(lm, 25 + t, substream(19, t))
+                if isinstance(scheme, ChristBinary):
+                    cases = [(tokens, meta), (tokens, 0), (other, min(meta, len(other)))]
+                else:
+                    cases = [(tokens, meta), (other, meta)]
+                for text, region in cases:
+                    want = detect(scheme, lm, key, text, region)
+                    got = scheme.detect(lm, key, text, region)
+                    assert (got.statistic, got.reject) == want, scheme.name
+
+    @pytest.mark.parametrize("model", ["fair-coin", "drifting6", "deterministic6"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_streaming_alignment_bits(self, model, shared):
+        lm = MODELS[model]
+        vocab = lm.vocab_size
+        for n, window in ((BLOCK_K, BLOCK_K - 1), (37, 1), (37, 9), (100, 9), (12, 12)):
+            cfg = ItsConfig(n=n, target_alpha=0.05, resamples=19, block_k=min(BLOCK_K, n),
+                            vocab_size=vocab, shared_permutation=shared)
+            scheme = InverseTransform(cfg)
+            key = WatermarkKey(seed=n * 31 + window)
+            tokens = np.array(lm.sample_sequence(n, substream(23, n)))
+            u_all, rank_all = scheme._with_resamples(key, *scheme._xi(key, n))
+            assert rank_all.ndim == (1 if shared else 3)
+            got = _alignment_phi(u_all, rank_all, tokens, window)
+            want = oracles.alignment_phi_tensor(u_all, rank_all, tokens, window)
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (n, window)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_K])
+    def test_estimates_match_loops(self, model, n):
+        lm = MODELS[model]
+        trials = TRIAL_BLOCK + 22  # one full block and one partial block
+        for scheme in engine_schemes(lm, n):
+            assert estimate_type1(scheme, lm, trials, 61)[0] == oracles.estimate_loop(
+                scheme, lm, trials, 61, null_text=True
+            ), scheme.name
+            assert estimate_type2(scheme, lm, trials, 62)[0] == oracles.estimate_loop(
+                scheme, lm, trials, 62, null_text=False
+            ), scheme.name
+
+    @pytest.mark.parametrize("model", ["fair-coin", "biased-binary", "drifting6"])
+    def test_estimates_match_loops_at_length_100(self, model):
+        lm = MODELS[model]
+        for scheme in engine_schemes(lm, 100):
+            if isinstance(scheme, InverseTransform) and not scheme.cfg.shared_permutation:
+                continue  # the per-position mode is covered at shorter lengths
+            for estimate, null_text in ((estimate_type1, True), (estimate_type2, False)):
+                assert estimate(scheme, lm, 101, 63)[0] == oracles.estimate_loop(
+                    scheme, lm, 101, 63, null_text
+                ), scheme.name
