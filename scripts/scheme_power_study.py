@@ -45,12 +45,12 @@ def run() -> None:
     names = list(schemes_at(LENGTHS[0]))
     rows = []
     for n in LENGTHS:
-        cells = [fmt(n)]
-        for name, scheme in schemes_at(n).items():
-            miss, _ = estimate_type2(scheme, lm, trials=TRIALS, seed=SEED)
-            cells.append(fmt(miss))
-        rows.append(tuple(cells))
-        print(f"n={n}: " + " ".join(f"{name}={cell}" for name, cell in zip(names, cells[1:])))
+        misses = [
+            estimate_type2(scheme, lm, trials=TRIALS, seed=SEED)[0]
+            for scheme in schemes_at(n).values()
+        ]
+        rows.append((n, *misses))
+        print(f"n={n}: " + " ".join(f"{name}={fmt(miss)}" for name, miss in zip(names, misses)))
     table = CsvTable(header=("n", *(f"type2_{name}" for name in names)), rows=tuple(rows))
     OUT.mkdir(exist_ok=True)
     (OUT / "scheme_power.csv").write_bytes(table.to_text().encode())

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,12 +41,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CsvTable:
+    """Raw cell values; ``to_text`` formats every cell with ``fmt``."""
+
     header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: tuple[tuple, ...]
 
     def to_text(self) -> str:
         lines = [",".join(self.header)]
-        lines.extend(",".join(row) for row in self.rows)
+        lines.extend(",".join(map(fmt, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -84,9 +86,9 @@ class Param:
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
+    header: tuple[str, ...]
     params: tuple[Param, ...]
-    run: Callable[[dict, int], CsvTable]
+    run: Callable[[dict, int], Iterable[tuple]]  # raw row values, one tuple per CSV row
     plot: tuple[str, tuple[str, ...]] | None = None  # (x column, y columns)
 
 
@@ -94,106 +96,77 @@ class Experiment:
 # experiment implementations
 
 
-def _run_ump(params: dict, seed: int) -> CsvTable:
+def _run_ump(params: dict, seed: int) -> Iterable[tuple]:
     rho = DiscreteDist(probs=params["rho"])
     eps = params["eps"]
-    rows = []
     for alpha in params["alphas"]:
         closed = ump.optimal_type2(rho, alpha, eps)
         coupling = ump.ump_coupling(rho, alpha, eps)
-        rows.append(
-            tuple(
-                fmt(v)
-                for v in (
-                    alpha,
-                    eps,
-                    closed,
-                    ump.type2_exact(coupling),
-                    ump.type1_exact(coupling),
-                )
-            )
-        )
-    return CsvTable(
-        header=("alpha", "eps", "type2_closed_form", "type2_coupling", "type1"),
-        rows=tuple(rows),
-    )
+        yield alpha, eps, closed, ump.type2_exact(coupling), ump.type1_exact(coupling)
 
 
-def _run_rates(params: dict, seed: int) -> CsvTable:
+def _run_rates(params: dict, seed: int) -> Iterable[tuple]:
     h, alpha, beta = params["h"], params["alpha"], params["beta"]
     rho0 = rates.hard_instance(h)
     lower = rates.min_tokens_lower_bound(h, alpha, beta)
     upper = rates.min_tokens_upper_bound(h, alpha, beta, rho0.k)
     _, curve = rates.n_required_empirical(rho0, alpha, beta, params["n_max"])
-    rows = tuple(
-        tuple(fmt(v) for v in (n, value, lower, upper))
-        for n, value, _ in curve.entries
-    )
-    return CsvTable(header=("n", "beta_exact", "lower", "upper"), rows=rows)
+    return [(n, value, lower, upper) for n, value, _ in curve.entries]
 
 
-def _run_agnostic(params: dict, seed: int) -> CsvTable:
+def _run_agnostic(params: dict, seed: int) -> Iterable[tuple]:
     n = params["n"]
     alpha = params["alpha"]
     m = agnostic.integrality_check(n, alpha)
     law = agnostic.UniformRegionLaw(n=n, region_size=m)
     gamma = float(agnostic.max_type2_loss(n, alpha))
-    rows = []
 
-    def emit(label: str, rho: DiscreteDist) -> None:
+    def row(label: str, rho: DiscreteDist) -> tuple:
         coupling, loss = agnostic.build_agnostic_coupling(rho, law)
         surplus = ump.clipped_surplus(rho.probs, float(alpha))
         budget = gamma + surplus
         ok = agnostic.strassen_condition_holds(rho, law, budget + 1e-9)
-        rows.append(tuple(fmt(v) for v in (label, loss, gamma, surplus, budget, ok)))
+        return label, loss, gamma, surplus, budget, ok
 
     support = int(1 / alpha)
     worst = DiscreteDist(
         probs=tuple(Fraction(1, support) if j < support else Fraction(0) for j in range(n))
     )
-    emit("worst-uniform", worst)
+    yield row("worst-uniform", worst)
     rng = substream(seed, 0)
     for t in range(params["instances"]):
-        emit(f"random-{t}", DiscreteDist(probs=tuple(rng.dirichlet(np.ones(n)))))
-    return CsvTable(
-        header=("instance", "loss", "gamma", "surplus", "budget", "strassen_ok"),
-        rows=tuple(rows),
-    )
+        yield row(f"random-{t}", DiscreteDist(probs=tuple(rng.dirichlet(np.ones(n)))))
 
 
-_GRAPH_PRESETS = ("selfloops", "complete", "chain", "cycle")
-
-
-def _graph_for(name: str, n: int) -> robust.PerturbationGraph:
-    if name == "selfloops":
-        return robust.PerturbationGraph.self_loops_only(n)
-    if name == "complete":
-        return robust.PerturbationGraph.complete(n)
-    if name == "chain":
-        return robust.PerturbationGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-    if name == "cycle":
-        return robust.PerturbationGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+def _preset(kind: str, presets: dict, load: Callable, name: str, *args):
+    """The preset ``name`` built from ``args``, or the file named after an '@'."""
     if name.startswith("@"):
-        return robust.load_graph(name[1:])
+        return load(name[1:])
+    if name in presets:
+        return presets[name](*args)
     raise ConfigError(
-        f"unknown graph {name!r}; use one of {_GRAPH_PRESETS} or @path/to/edge/file"
+        f"unknown {kind} {name!r}; use one of {sorted(presets)} or @path/to/{kind}/file"
     )
 
 
-def _run_robust(params: dict, seed: int) -> CsvTable:
+_GRAPH_PRESETS = {
+    "selfloops": robust.PerturbationGraph.self_loops_only,
+    "complete": robust.PerturbationGraph.complete,
+    "chain": lambda n: robust.PerturbationGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
+    "cycle": lambda n: robust.PerturbationGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
+}
+
+
+def _run_robust(params: dict, seed: int) -> Iterable[tuple]:
     rho = DiscreteDist(probs=params["rho"])
     alpha = params["alpha"]
-    rows = []
     for name in params["graphs"].split("+"):
-        graph = _graph_for(name, rho.k)
+        graph = _preset("graph", _GRAPH_PRESETS, robust.load_graph, name, rho.k)
         if graph.n != rho.k:
             raise ConfigError(f"rho has {rho.k} outcomes but graph {name!r} has {graph.n} vertices")
         for sum_row in (False, True):
             beta, solution = robust.robust_optimal_type2(rho, alpha, graph, sum_row)
-            rows.append(
-                tuple(fmt(v) for v in (name, sum_row, solution.objective, beta))
-            )
-    return CsvTable(header=("graph", "sum_row", "lp_value", "beta"), rows=tuple(rows))
+            yield name, sum_row, solution.objective, beta
 
 
 _LM_PRESETS = {
@@ -237,56 +210,21 @@ def _scheme_for(name: str, lm: lm_mod.ToyLM, n: int, alpha: float, params: dict)
     raise ConfigError(f"unknown scheme {name!r}; use srl, christ, its or ump")
 
 
-def _run_schemes(params: dict, seed: int) -> CsvTable:
-    preset = params["lm"]
-    if preset.startswith("@"):
-        lm = lm_mod.load_lm(preset[1:])
-    elif preset in _LM_PRESETS:
-        lm = _LM_PRESETS[preset]()
-    else:
-        raise ConfigError(
-            f"unknown lm {preset!r}; use one of {sorted(_LM_PRESETS)} or @path/to/lm/file"
-        )
+def _run_schemes(params: dict, seed: int) -> Iterable[tuple]:
+    lm = _preset("lm", _LM_PRESETS, lm_mod.load_lm, params["lm"])
     names = params["scheme"].split("+")
     if "christ" in names and lm.vocab_size != 2:
         raise ConfigError("scheme christ needs a binary lm preset")
-    rows = []
     for name in names:
         scheme = _scheme_for(name, lm, params["n"], params["alpha"], params)
         est = schemes.estimate_errors(scheme, lm, params["trials"], seed)
-        rows.append(
-            tuple(
-                fmt(v)
-                for v in (
-                    name,
-                    params["n"],
-                    params["alpha"],
-                    est.type1,
-                    est.type1_stderr,
-                    est.type2,
-                    est.type2_stderr,
-                    est.trials,
-                )
-            )
-        )
-    return CsvTable(
-        header=(
-            "scheme",
-            "n",
-            "alpha",
-            "type1",
-            "type1_stderr",
-            "type2",
-            "type2_stderr",
-            "trials",
-        ),
-        rows=tuple(rows),
-    )
+        yield (name, params["n"], params["alpha"], est.type1, est.type1_stderr,
+               est.type2, est.type2_stderr, est.trials)
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     "ump": Experiment(
-        name="ump",
+        header=("alpha", "eps", "type2_closed_form", "type2_coupling", "type1"),
         params=(
             Param("rho", _parse_probs, (0.5, 0.3, 0.2), "comma-separated outcome probabilities"),
             Param("eps", float, 0.0, "allowed TV distortion"),
@@ -301,7 +239,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         plot=("alpha", ("type2_closed_form",)),
     ),
     "rates": Experiment(
-        name="rates",
+        header=("n", "beta_exact", "lower", "upper"),
         params=(
             Param("h", float, 0.1, "per-token entropy of the hard instance"),
             Param("alpha", float, 0.01, "Type I target"),
@@ -312,7 +250,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         plot=("n", ("beta_exact",)),
     ),
     "agnostic": Experiment(
-        name="agnostic",
+        header=("instance", "loss", "gamma", "surplus", "budget", "strassen_ok"),
         params=(
             Param("n", int, 8, "outcome count"),
             Param("alpha", _parse_fraction, Fraction(1, 4), "level (rational)"),
@@ -321,7 +259,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         run=_run_agnostic,
     ),
     "robust": Experiment(
-        name="robust",
+        header=("graph", "sum_row", "lp_value", "beta"),
         params=(
             Param("rho", _parse_probs, (0.5, 0.3, 0.2), "comma-separated probabilities"),
             Param("alpha", float, 0.2, "Type I target"),
@@ -330,7 +268,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         run=_run_robust,
     ),
     "schemes": Experiment(
-        name="schemes",
+        header=("scheme", "n", "alpha", "type1", "type1_stderr", "type2", "type2_stderr", "trials"),
         params=(
             Param("lm", str, "fair-coin", f"model preset, one of {sorted(_LM_PRESETS)}"),
             Param("scheme", str, "srl+christ+ump", "schemes joined by +"),
@@ -446,7 +384,7 @@ def usage() -> str:
 
 def run(config: ExperimentConfig) -> CsvTable:
     spec = EXPERIMENTS[config.experiment]
-    table = spec.run(dict(config.params), config.seed)
+    table = CsvTable(header=spec.header, rows=tuple(spec.run(dict(config.params), config.seed)))
     if config.out is not None:
         config.out.write_bytes(table.to_text().encode("utf-8"))
     if config.svg is not None:

@@ -61,12 +61,9 @@ class DiscreteDist:
     """
 
     probs: tuple
-    labels: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(self.probs))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.probs) < 1:
             raise ValueError("distribution needs at least one outcome")
         for p in self.probs:
@@ -77,8 +74,6 @@ class DiscreteDist:
         total = sum(self.probs)
         if abs(total - 1) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if self.labels is not None and len(self.labels) != len(self.probs):
-            raise ValueError("labels length must match probs length")
 
     @property
     def k(self) -> int:

@@ -17,9 +17,9 @@ FLOAT_CUTOFF = 1e-12
 @dataclass
 class FlowNetwork:
     n_nodes: int
-    to: list = field(default_factory=list)
-    cap: list = field(default_factory=list)
-    adj: list = field(default_factory=list)
+    to: list = field(init=False, default_factory=list)
+    cap: list = field(init=False, default_factory=list)
+    adj: list = field(init=False)
 
     def __post_init__(self):
         self.adj = [[] for _ in range(self.n_nodes)]

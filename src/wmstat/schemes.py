@@ -9,9 +9,9 @@ Three published scheme families are implemented over the toy Markov model:
   budget, after which tokens are drawn by inverse transform from keyed
   uniforms, detection by a surprisal sum against an exact Erlang null
   quantile (distortion-free);
-- inverse transform sampling: tokens drawn through a keyed permuted CDF,
-  detection by a block-alignment cost ranked among keyed resamples, i.e. a
-  permutation-test p-value (distortion-free).
+- inverse transform sampling: tokens drawn through the CDF taken in the order
+  of one keyed vocabulary permutation, detection by a block-alignment cost
+  ranked among keyed resamples, i.e. a permutation-test p-value (distortion-free).
 
 A fourth scheme wraps the optimal coupling itself at sequence level: the key
 regenerates the model output, and the rejection region is that single
@@ -21,7 +21,9 @@ one protocol so their empirical Type I/II errors are directly comparable.
 Every scheme works on a batch of keys in three steps: ``keyed`` derives the
 draws a detector recomputes from each key, ``sample`` generates one token
 path per key through the model's one Markov sampler (``ToyLM.paths``), the
-scheme supplying only its per-position rule, and ``test`` detects.  Per-key
+scheme supplying only its per-position rule, and ``test`` detects.  A
+detector recomputes everything from the key except keyed binary's start index,
+the only region description (``meta``) a generation hands on.  Per-key
 ``generate``/``detect`` are the batch of one and the error estimates run
 fixed-size blocks of trials; every result is bit-identical to running one key
 and one token at a time.
@@ -146,9 +148,10 @@ class _Scheme:
     Subclasses supply, for a list of keys:
     ``keyed(lm, keys, n)``, the draws a detector recomputes from each key for
     text of length n; ``sample(lm, keys, keyed)``, the token paths
-    ``[len(keys), cfg.n]`` and one region description (meta) per key; and
-    ``test(lm, keys, keyed, tokens, meta)``, the statistic and the reject flag
-    per key for the token array ``tokens``.
+    ``[len(keys), cfg.n]`` and one meta per key (keyed binary's start index,
+    None for the other schemes); and ``test(lm, keys, keyed, tokens, meta)``,
+    the statistic and the reject flag per key for the token array ``tokens``.
+    ``detect`` rejects any token that is not an integer in 0..V-1.
     """
 
     def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
@@ -158,7 +161,11 @@ class _Scheme:
 
     def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta=None) -> Detection:
         keys = [key]
-        tokens = np.array([tuple(tokens)], dtype=np.int64)
+        tokens = tuple(tokens)
+        for tok in tokens:
+            if not (isinstance(tok, (int, np.integer)) and 0 <= tok < lm.vocab_size):
+                raise ValueError(f"token {tok!r} is not an integer in 0..{lm.vocab_size - 1}")
+        tokens = np.array([tokens], dtype=np.int64)
         keyed = self.keyed(lm, keys, tokens.shape[1])
         statistic, reject = self.test(lm, keys, keyed, tokens, [meta])
         return Detection(statistic=float(statistic[0]), reject=bool(reject[0]))
@@ -297,6 +304,8 @@ class ChristBinary(_Scheme):
     def test(self, lm: ToyLM, keys, us: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
         length = tokens.shape[1]
+        if None in meta:
+            raise ValueError("keyed binary detection needs the watermark start index (meta)")
         starts = np.array([int(start) for start in meta], dtype=np.int64)
         for start in starts:
             if not 0 <= start <= length:
@@ -326,7 +335,6 @@ class ItsConfig:
     resamples: int = 99
     block_k: int = 10
     vocab_size: int = 2
-    shared_permutation: bool = True
 
     def __post_init__(self):
         _check_common(self.n, self.target_alpha)
@@ -347,28 +355,22 @@ class ItsConfig:
 def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray, window: int) -> np.ndarray:
     """Minimum block alignment cost for each keyed draw in the batch.
 
-    cost[t, j, i] = sum over the window of |u[t, (j+l) % L] - rank of the
-    token at i+l under position (j+l)'s permutation|.  Grouping (j, i) pairs
-    by their cyclic offset delta = j - i, text position b adds the ``[t, delta]``
-    slice ``b : b+L`` of one row of per-token costs over the cyclically padded
-    positions to a running prefix sum, and a window sum is that prefix sum
-    minus the one ``window`` positions back.  One streaming O(L^2) pass per
-    batch row with a ring of ``window + 1`` prefix sums, in float32: ties are
-    broken conservatively by the <= rank comparison.
+    cost[t, j, i] = sum over the window of |u[t, (j+l) % L] - rank_norm[token
+    at i+l]|, the token's rank under the key's one permutation scaled to [0, 1].
+    Grouping (j, i) pairs by their cyclic offset delta = j - i, text position b
+    adds the ``[t, delta]`` slice ``b : b+L`` of one row of per-token costs
+    over the cyclically padded positions to a running prefix sum, and a window
+    sum is that prefix sum minus the one ``window`` positions back.  One
+    streaming O(L^2) pass per batch row with a ring of ``window + 1`` prefix
+    sums, in float32: ties are broken conservatively by the <= rank comparison.
     """
     batch, length = u_all.shape
     # [padded position i, t]: positions run along the first axis, so each
     # slice b : b+L below is one contiguous [delta, t] block
     u_pad = np.concatenate([u_all, u_all[:, :-1]], axis=1).T.astype(np.float32)
     seen, token_row = np.unique(tokens, return_inverse=True)
-    if rank_norm.ndim == 1:
-        # one permutation everywhere: the rank only depends on the token
-        ranks = rank_norm[seen].astype(np.float32)[:, None, None]
-    else:
-        r_pad = np.concatenate([rank_norm, rank_norm[:, :-1]], axis=1)  # [t, position, token]
-        ranks = r_pad[:, :, seen].transpose(2, 1, 0).astype(np.float32)
-    # [token row, i, t]: |u at i - rank of that token under pi_{i % L}|
-    costs = np.abs(u_pad - ranks)
+    # [token row, i, t]: |u at i - rank of that token|
+    costs = np.abs(u_pad - rank_norm[seen].astype(np.float32)[:, None, None])
     ring = np.empty((window + 1, length, batch), dtype=np.float32)
     ring[-1] = 0.0  # the prefix sum before position 0
     diff = np.empty((length, batch), dtype=np.float32)
@@ -393,32 +395,16 @@ class InverseTransform(_Scheme):
         self.cfg = cfg
 
     def _xi(self, key: WatermarkKey, n: int) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
+        """The key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
         us = substream(key.seed, _D_ITS_U).random(n)
-        rng_pi = substream(key.seed, _D_ITS_PI)
-        if cfg.shared_permutation:
-            perms = np.tile(rng_pi.permutation(cfg.vocab_size), (n, 1))
-        else:
-            perms = np.stack([rng_pi.permutation(cfg.vocab_size) for _ in range(n)])
-        return us, perms
+        return us, substream(key.seed, _D_ITS_PI).permutation(self.cfg.vocab_size)
 
-    def _with_resamples(self, key: WatermarkKey, us: np.ndarray, perms: np.ndarray):
-        """Uniforms ``[R+1, L]`` and normalised ranks of the keyed draw, then its resamples."""
+    def _with_resamples(self, key: WatermarkKey, us: np.ndarray, perm: np.ndarray):
+        """Uniforms ``[R+1, L]`` (the keyed draw, then its resamples) and each token's rank."""
         cfg = self.cfg
-        t, n = cfg.resamples, len(us)
-        rng = substream(key.seed, _D_ITS_RESAMPLE)
-        u_all = np.concatenate([us[None, :], rng.random((t, n))], axis=0)
-        if cfg.shared_permutation:
-            return u_all, self._ranks(perms[0], cfg.vocab_size)
-        perm_res = [np.stack([rng.permutation(cfg.vocab_size) for _ in range(n)]) for _ in range(t)]
-        return u_all, self._ranks(np.stack([perms, *perm_res]), cfg.vocab_size)
-
-    @staticmethod
-    def _ranks(perms: np.ndarray, vocab: int) -> np.ndarray:
-        """rank[.., token] from permutations given as rank -> token arrays."""
-        ranks = np.empty_like(perms)
-        np.put_along_axis(ranks, perms, np.broadcast_to(np.arange(vocab), perms.shape), axis=-1)
-        return ranks / max(vocab - 1, 1)
+        resampled = substream(key.seed, _D_ITS_RESAMPLE).random((cfg.resamples, len(us)))
+        u_all = np.concatenate([us[None, :], resampled], axis=0)
+        return u_all, np.argsort(perm) / max(cfg.vocab_size - 1, 1)
 
     def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
         us, perms = zip(*(self._xi(key, n) for key in keys))
@@ -434,11 +420,10 @@ class InverseTransform(_Scheme):
 
         def permuted(j: int, prev: np.ndarray) -> np.ndarray:
             """Inverse transform through the CDF taken in permuted rank order."""
-            perm = perms[:, j]
-            cum = np.cumsum(probs[prev[:, None], perm], axis=1)
-            return perm[paths, np.minimum(inverse_cdf(cum, us[:, j], "left"), cfg.vocab_size - 1)]
+            cum = np.cumsum(probs[prev[:, None], perms], axis=1)
+            return perms[paths, np.minimum(inverse_cdf(cum, us[:, j], "left"), cfg.vocab_size - 1)]
 
-        return lm.paths(len(keys), cfg.n, permuted), list(zip(us, perms))
+        return lm.paths(len(keys), cfg.n, permuted), [None] * len(keys)
 
     def test(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray], tokens: np.ndarray, meta):
         cfg = self.cfg
@@ -446,8 +431,8 @@ class InverseTransform(_Scheme):
         if length < cfg.block_k:
             raise ValueError(f"need at least {cfg.block_k} tokens, got {length}")
         p_values = np.empty(len(keys))
-        for i, (key, us, perms) in enumerate(zip(keys, *xi)):
-            phi = _alignment_phi(*self._with_resamples(key, us, perms), tokens[i], cfg.block_k - 1)
+        for i, (key, us, perm) in enumerate(zip(keys, *xi)):
+            phi = _alignment_phi(*self._with_resamples(key, us, perm), tokens[i], cfg.block_k - 1)
             p_values[i] = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
         return p_values, p_values <= cfg.target_alpha
 

@@ -120,7 +120,7 @@ def optimal_distortion(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> Dis
                 r += 1
         if taken > 0.0:
             probs[j] -= taken
-    return DiscreteDist(probs=tuple(probs), labels=rho.labels)
+    return DiscreteDist(probs=tuple(probs))
 
 
 def optimal_type2(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> float:

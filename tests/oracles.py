@@ -322,35 +322,22 @@ def christ_detect_loop(scheme, lm, key, tokens, meta) -> tuple[float, bool]:
     return statistic, statistic >= sch.erlang_upper_quantile(m, scheme.cfg.target_alpha)
 
 
-def its_generate_loop(scheme, lm, key):
-    us, perms = scheme._xi(key, scheme.cfg.n)
+def its_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], None]:
+    us, perm = scheme._xi(key, scheme.cfg.n)
     tokens = []
     prev = None
     for j in range(scheme.cfg.n):
-        prev = its_token(lm.next_dist(prev).as_floats(), us[j], perms[j])
+        prev = its_token(lm.next_dist(prev).as_floats(), us[j], perm)
         tokens.append(prev)
-    return tuple(tokens), (us, perms)
+    return tuple(tokens), None
 
 
 def alignment_phi_tensor(u_all, rank_norm, tokens, window) -> np.ndarray:
     """The alignment minimum through the whole [batch, L, L] cost tensor."""
-    batch, length = u_all.shape
+    length = u_all.shape[1]
     u_pad = np.concatenate([u_all, u_all[:, :-1]], axis=1).astype(np.float32)
     u_diag = np.lib.stride_tricks.sliding_window_view(u_pad, length, axis=1)
-    if rank_norm.ndim == 1:
-        diag = np.abs(u_diag - rank_norm[tokens].astype(np.float32)[None, None, :])
-    else:
-        per_token = rank_norm[
-            np.arange(batch)[:, None, None],
-            np.arange(length)[None, :, None],
-            tokens[None, None, :],
-        ].astype(np.float32)
-        pad = np.concatenate([per_token, per_token[:, : length - 1, :]], axis=1)
-        s0, s1, s2 = pad.strides
-        rank_diag = np.lib.stride_tricks.as_strided(
-            pad, shape=(batch, length, length), strides=(s0, s1, s1 + s2), writeable=False
-        )
-        diag = np.abs(u_diag - rank_diag)
+    diag = np.abs(u_diag - rank_norm[tokens].astype(np.float32)[None, None, :])
     summed = np.cumsum(diag, axis=2, dtype=np.float32)
     window_sums = summed[:, :, window - 1 :].copy()
     window_sums[:, :, 1:] -= summed[:, :, :-window]

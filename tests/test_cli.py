@@ -1,4 +1,5 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,12 @@ class TestCsvContract:
     def test_table_text_layout(self):
         t = CsvTable(header=("a", "b"), rows=(("1", "2.5"),))
         assert t.to_text() == "a,b\n1,2.5\n"
+        # raw cells go through fmt, the one formatting path
+        raw = (True, False, 7, 0.1 + 0.2, Fraction(1, 3), "worst-uniform")
+        t = CsvTable(header=tuple("abcdef"), rows=(raw, raw))
+        line = ",".join(fmt(v) for v in raw)
+        assert line == "1,0,7,0.30000000000000004,1/3,worst-uniform"
+        assert t.to_text() == f"a,b,c,d,e,f\n{line}\n{line}\n"
 
     @pytest.mark.skipif(
         not any((ROOT / "out").glob("*.csv")),

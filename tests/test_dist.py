@@ -48,10 +48,6 @@ class TestDiscreteDist:
         assert DiscreteDist.uniform(3).is_exact
         assert not DiscreteDist(probs=(0.5, 0.5)).is_exact
 
-    def test_labels_length(self):
-        with pytest.raises(ValueError, match="labels"):
-            DiscreteDist(probs=(1.0,), labels=("a", "b"))
-
 
 class TestEntropy:
     def test_uniform(self):
