@@ -30,12 +30,8 @@ OUT = Path(__file__).resolve().parent.parent / "out"
 
 def schemes_at(n: int):
     return {
-        "srl": SoftRedList(
-            SoftRedListConfig(n=n, target_alpha=ALPHA, gamma=0.5, delta=2.0, vocab_size=2)
-        ),
-        "christ": ChristBinary(
-            ChristBinaryConfig(n=n, target_alpha=ALPHA, entropy_threshold=3.0)
-        ),
+        "srl": SoftRedList(SoftRedListConfig(n=n, target_alpha=ALPHA)),
+        "christ": ChristBinary(ChristBinaryConfig(n=n, target_alpha=ALPHA)),
         "ump": UmpSequence(UmpSequenceConfig(n=n, target_alpha=ALPHA)),
     }
 

@@ -7,6 +7,8 @@ per-model optimum has an exact binomial-ratio form; this module computes that
 value in exact rationals, samples and couples the region law constructively
 via max-flow (certifying the bound instance by instance), and checks the
 underlying marginal-domination condition on the worst set of each size.
+The coupling is an ordinary ``ump.Coupling`` over (outcome, subset) atoms, so
+``ump.type2_exact`` gives its loss and ``ump.type1_exact`` its level.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .dist import DiscreteDist, ResourceLimit, binom_exact
 from .flow import FlowNetwork
-from .ump import Region
+from .ump import Coupling, Region
 
 MAX_ENUM_SUBSETS = 100_000
 
@@ -59,26 +61,6 @@ class UniformRegionLaw:
         return 1 - binom_exact(self.n - u_size, self.region_size) / binom_exact(
             self.n, self.region_size
         )
-
-
-@dataclass(frozen=True)
-class AgnosticCoupling:
-    """Joint law of (outcome, region index) over enumerated subsets."""
-
-    flows: tuple[tuple[int, int, float], ...]
-    subsets: tuple[Region, ...]
-
-    def outcome_marginal(self, n: int) -> list:
-        mass = [0.0] * n
-        for x, _, m in self.flows:
-            mass[x] = mass[x] + m
-        return mass
-
-    def subset_marginal(self) -> list:
-        mass = [0.0] * len(self.subsets)
-        for _, a, m in self.flows:
-            mass[a] = mass[a] + m
-        return mass
 
 
 def integrality_check(n: int, alpha: Fraction) -> int:
@@ -135,13 +117,15 @@ def pad_to_integral(n: int, alpha: Fraction) -> tuple[UniformRegionLaw, Fraction
 
 def build_agnostic_coupling(
     rho: DiscreteDist, law: UniformRegionLaw
-) -> tuple[AgnosticCoupling, float]:
+) -> tuple[Coupling, float]:
     """Couple ``rho`` with the uniform region law; returns (coupling, loss).
 
     Solves the transportation problem source -> outcomes -> covering subsets
     -> sink by max-flow, then completes the leftover mass (necessarily on
     non-covering pairs at a maximum flow) so both marginals are met exactly.
-    ``loss`` is the probability the outcome falls outside its region.
+    The atoms are (x, subset, mass) in (x, subset index) order, with Fraction
+    masses when ``rho`` is exact.  ``loss`` is the probability the outcome
+    falls outside its region, from the flow value.
     """
     if rho.k != law.n:
         raise ValueError(f"distribution has {rho.k} outcomes, law expects {law.n}")
@@ -194,16 +178,8 @@ def build_agnostic_coupling(
                 spare[ai] = (a, s)
 
     flows.sort()
-    return AgnosticCoupling(flows=tuple(flows), subsets=tuple(subsets)), (
-        float(loss) if exact else loss
-    )
-
-
-def coupling_miss_probability(coupling: AgnosticCoupling) -> float:
-    """P(outcome not in its coupled region), recomputed from the atoms."""
-    return float(
-        sum(m for x, a, m in coupling.flows if x not in coupling.subsets[a])
-    )
+    coupling = Coupling(atoms=tuple((x, subsets[a], m) for x, a, m in flows), k=law.n)
+    return coupling, (float(loss) if exact else loss)
 
 
 def _worst_gap(rho: DiscreteDist, law: UniformRegionLaw, exact: bool):

@@ -13,7 +13,7 @@ and seed produce byte-identical CSV on every run.  Exit codes: 0 success,
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
@@ -178,36 +178,20 @@ _LM_PRESETS = {
 }
 
 
-def _scheme_for(name: str, lm: lm_mod.ToyLM, n: int, alpha: float, params: dict):
-    if name == "srl":
-        return schemes.SoftRedList(
-            schemes.SoftRedListConfig(
-                n=n,
-                target_alpha=alpha,
-                gamma=params["gamma"],
-                delta=params["delta"],
-                vocab_size=lm.vocab_size,
-            )
-        )
-    if name == "christ":
-        return schemes.ChristBinary(
-            schemes.ChristBinaryConfig(
-                n=n, target_alpha=alpha, entropy_threshold=params["entropy_threshold"]
-            )
-        )
-    if name == "its":
-        return schemes.InverseTransform(
-            schemes.ItsConfig(
-                n=n,
-                target_alpha=alpha,
-                resamples=params["resamples"],
-                block_k=params["block_k"],
-                vocab_size=lm.vocab_size,
-            )
-        )
-    if name == "ump":
-        return schemes.UmpSequence(schemes.UmpSequenceConfig(n=n, target_alpha=alpha))
-    raise ConfigError(f"unknown scheme {name!r}; use srl, christ, its or ump")
+_SCHEMES = {
+    "srl": (schemes.SoftRedList, schemes.SoftRedListConfig),
+    "christ": (schemes.ChristBinary, schemes.ChristBinaryConfig),
+    "its": (schemes.InverseTransform, schemes.ItsConfig),
+    "ump": (schemes.UmpSequence, schemes.UmpSequenceConfig),
+}
+
+
+def _scheme_for(name: str, lm: lm_mod.ToyLM, params: dict):
+    if name not in _SCHEMES:
+        raise ConfigError(f"unknown scheme {name!r}; use one of {sorted(_SCHEMES)}")
+    scheme_cls, config_cls = _SCHEMES[name]
+    given = {**params, "target_alpha": params["alpha"], "vocab_size": lm.vocab_size}
+    return scheme_cls(config_cls(**{f.name: given[f.name] for f in fields(config_cls)}))
 
 
 def _run_schemes(params: dict, seed: int) -> Iterable[tuple]:
@@ -215,8 +199,9 @@ def _run_schemes(params: dict, seed: int) -> Iterable[tuple]:
     names = params["scheme"].split("+")
     if "christ" in names and lm.vocab_size != 2:
         raise ConfigError("scheme christ needs a binary lm preset")
-    for name in names:
-        scheme = _scheme_for(name, lm, params["n"], params["alpha"], params)
+    # every scheme is built, so every config checked, before the first estimate
+    built = [(name, _scheme_for(name, lm, params)) for name in names]
+    for name, scheme in built:
         est = schemes.estimate_errors(scheme, lm, params["trials"], seed)
         yield (name, params["n"], params["alpha"], est.type1, est.type1_stderr,
                est.type2, est.type2_stderr, est.trials)
@@ -275,11 +260,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("n", int, 100, "sequence length"),
             Param("alpha", float, 0.05, "detection level"),
             Param("trials", int, 400, "Monte Carlo trials per error"),
-            Param("gamma", float, 0.5, "green fraction (srl)"),
-            Param("delta", float, 2.0, "green boost (srl)"),
-            Param("entropy_threshold", float, 3.0, "nats before keyed phase (christ)"),
-            Param("resamples", int, 99, "permutation resamples (its)"),
-            Param("block_k", int, 10, "block size (its)"),
+            Param("gamma", float, schemes.SoftRedListConfig.gamma, "green fraction (srl)"),
+            Param("delta", float, schemes.SoftRedListConfig.delta, "green boost (srl)"),
+            Param("entropy_threshold", float, schemes.ChristBinaryConfig.entropy_threshold,
+                  "nats before keyed phase (christ)"),
+            Param("resamples", int, schemes.ItsConfig.resamples, "permutation resamples (its)"),
+            Param("block_k", int, schemes.ItsConfig.block_k, "block size (its)"),
         ),
         run=_run_schemes,
     ),
@@ -348,6 +334,8 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     for path in (out, svg):
         if path is not None and not path.parent.is_dir():
             raise ConfigError(f"cannot write {path}: directory {path.parent} does not exist")
+    if svg is not None and spec.plot is None:
+        raise ConfigError(f"experiment {name!r} has no plot hint")
 
     known = {p.name: p for p in spec.params}
     params: dict[str, object] = {}
@@ -388,8 +376,6 @@ def run(config: ExperimentConfig) -> CsvTable:
     if config.out is not None:
         config.out.write_bytes(table.to_text().encode("utf-8"))
     if config.svg is not None:
-        if spec.plot is None:
-            raise ConfigError(f"experiment {config.experiment!r} has no plot hint")
         x_col, y_cols = spec.plot
         svg_line_plot(table.header, table.rows, x_col, y_cols, config.svg,
                       title=config.experiment)

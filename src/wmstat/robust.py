@@ -17,9 +17,11 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dist import DiscreteDist, ResourceLimit, _check_alpha, parse_field, read_records
 from .simplex import LpProblem, LpSolution, simplex_solve
-from .ump import EMPTY_REGION, Coupling, Region
+from .ump import Coupling, Region
 
 MAX_HAMMING_VERTICES = 10_000
 
@@ -111,16 +113,13 @@ def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
     n_vertices = k**n
     if n_vertices > MAX_HAMMING_VERTICES:
         raise ResourceLimit(f"{n_vertices} vertices exceed cap {MAX_HAMMING_VERTICES}")
-    strings = list(itertools.product(range(k), repeat=n))
-    rows = []
-    for u, su in enumerate(strings):
-        row = [
-            v
-            for v, sv in enumerate(strings)
-            if sum(a != b for a, b in zip(su, sv)) <= c
-        ]
-        rows.append(tuple(row))
-    return PerturbationGraph(out_adj=tuple(rows))
+    # [k**n, n], one string per row; the reshape keeps n=0 a single empty string
+    strings = np.array(list(itertools.product(range(k), repeat=n))).reshape(n_vertices, n)
+    return PerturbationGraph(
+        out_adj=tuple(
+            tuple(np.flatnonzero((strings != s).sum(axis=1) <= c).tolist()) for s in strings
+        )
+    )
 
 
 def shrinkage(graph: PerturbationGraph, region: Region) -> Region:
@@ -191,15 +190,11 @@ def robust_ump_coupling(
     """
     _, solution = robust_optimal_type2(rho, alpha, graph)
     probs = rho.as_floats()
-    atoms: list[tuple[int, Region, float]] = []
-    for y in range(graph.n):
-        hit = probs[y] * solution.x[y]
-        miss = probs[y] - hit
-        if hit > 0.0:
-            atoms.append((y, Region.of(graph.out(y)), hit))
-        if miss > 0.0:
-            atoms.append((y, EMPTY_REGION, miss))
-    return Coupling(atoms=tuple(atoms), k=rho.k)
+    return Coupling.from_hits(
+        probs,
+        [p * x for p, x in zip(probs, solution.x)],
+        [Region.of(graph.out(y)) for y in range(graph.n)],
+    )
 
 
 def robust_type2_exact(coupling: Coupling, graph: PerturbationGraph) -> float:

@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dist import _check_alpha
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.sample
 from .lm import ToyLM, inverse_cdf
 from .streams import map_trials, substream
@@ -91,8 +92,7 @@ class ErrorEstimates:
 def _check_common(n: int, target_alpha: float) -> None:
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    if not 0.0 < target_alpha < 1.0:
-        raise ValueError(f"target alpha must be in (0,1), got {target_alpha!r}")
+    _check_alpha(target_alpha)
 
 
 @lru_cache(maxsize=4096)
@@ -154,6 +154,9 @@ class _Scheme:
     ``detect`` rejects any token that is not an integer in 0..V-1.
     """
 
+    def __init__(self, cfg):
+        self.cfg = cfg
+
     def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
         keys = [key]
         tokens, meta = self.sample(lm, keys, self.keyed(lm, keys, self.cfg.n))
@@ -202,9 +205,6 @@ class SoftRedList(_Scheme):
     """Keyed green/red partition per position; boosted generation."""
 
     name = "soft-red-list"
-
-    def __init__(self, cfg: SoftRedListConfig):
-        self.cfg = cfg
 
     def _green_masks(self, key: WatermarkKey, n: int) -> np.ndarray:
         vocab, g = self.cfg.vocab_size, self.cfg.green_size
@@ -267,9 +267,6 @@ class ChristBinary(_Scheme):
     """
 
     name = "keyed-binary"
-
-    def __init__(self, cfg: ChristBinaryConfig):
-        self.cfg = cfg
 
     def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
         """Keyed uniforms; the keyed token at position j uses draw j - start."""
@@ -391,9 +388,6 @@ class InverseTransform(_Scheme):
 
     name = "inverse-transform"
 
-    def __init__(self, cfg: ItsConfig):
-        self.cfg = cfg
-
     def _xi(self, key: WatermarkKey, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
         us = substream(key.seed, _D_ITS_U).random(n)
@@ -459,9 +453,6 @@ class UmpSequence(_Scheme):
     """
 
     name = "ump-sequence"
-
-    def __init__(self, cfg: UmpSequenceConfig):
-        self.cfg = cfg
 
     def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Each key's region: its sequence X of the configured length, whatever

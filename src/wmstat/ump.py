@@ -6,7 +6,8 @@ own singleton region, clipped so no single outcome is rejected with
 probability above alpha; allowing the output marginal to move by epsilon in
 total variation first "water-fills" mass from above-alpha outcomes to
 below-alpha ones.  This module builds that coupling and evaluates exact
-Type I and Type II errors of arbitrary couplings.
+Type I and Type II errors of any ``Coupling``, the one coupling type, which
+the robust and model-agnostic constructions build too.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ class Coupling:
                 raise ValueError(f"outcome {x} outside 0..{self.k - 1}")
             if region.members and region.members[-1] >= self.k:
                 raise ValueError("region member outside outcome range")
+
+    @classmethod
+    def from_hits(cls, probs, hits, regions) -> "Coupling":
+        """Pair outcome x with ``regions[x]`` at mass ``hits[x]`` and with the
+        empty region at the rest of ``probs[x]``; zero-weight atoms are omitted."""
+        atoms: list[tuple[int, Region, float]] = []
+        for x, (p, hit, region) in enumerate(zip(probs, hits, regions)):
+            miss = p - hit
+            if hit > 0.0:
+                atoms.append((x, region, hit))
+            if miss > 0.0:
+                atoms.append((x, EMPTY_REGION, miss))
+        return cls(atoms=tuple(atoms), k=len(probs))
 
     def x_marginal(self) -> DiscreteDist:
         mass = [0.0] * self.k
@@ -139,18 +153,12 @@ def ump_coupling(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> Coupling:
     region and is never detected.  Zero-weight atoms are omitted.
     """
     _check_alpha(alpha)
-    star = optimal_distortion(rho, alpha, eps)
-    atoms: list[tuple[int, Region, float]] = []
-    for x, p in enumerate(star.as_floats()):
-        if p <= 0.0:
-            continue
-        hit = min(p, alpha)  # = p * min(1, alpha/p), without the round-trip
-        miss = p - hit
-        if hit > 0.0:
-            atoms.append((x, Region(members=(x,)), hit))
-        if miss > 0.0:
-            atoms.append((x, EMPTY_REGION, miss))
-    return Coupling(atoms=tuple(atoms), k=rho.k)
+    probs = optimal_distortion(rho, alpha, eps).as_floats()
+    return Coupling.from_hits(
+        probs,
+        [min(p, alpha) for p in probs],  # = p * min(1, alpha/p), without the round-trip
+        [Region(members=(x,)) for x in range(len(probs))],
+    )
 
 
 def type1_exact(coupling: Coupling) -> float:

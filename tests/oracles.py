@@ -1,13 +1,14 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately brute force: Pascal's recurrence, exhaustive
-vertex enumeration, grid search over perturbation balls, exact-rational
-re-summation, one-token-at-a-time samplers.  None of it shares code paths
-with the library, except that ``ump_oracle`` solves its exhaustive LP with the
-library's simplex (itself checked against ``vertex_enumeration_optimum``),
-``max_type2_loss_telescoping`` validates its input with ``integrality_check``,
-and the per-token scheme loops take their keyed streams (``substream``
-domains, green masks, ITS keys and resamples) from the schemes themselves.
+vertex enumeration, grid search over perturbation balls, pairwise Hamming
+scans, exact-rational re-summation, one-token-at-a-time samplers.  None of it
+shares code paths with the library, except that ``ump_oracle`` solves its
+exhaustive LP with the library's simplex (itself checked against
+``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
+input with ``integrality_check``, and the per-token scheme loops take their
+keyed streams (``substream`` domains, green masks, ITS keys and resamples)
+from the schemes themselves.
 """
 
 from __future__ import annotations
@@ -222,6 +223,15 @@ def ump_oracle(rho: DiscreteDist, alpha: float) -> float:
     if solution.status != "optimal":
         raise AssertionError(f"oracle LP unexpectedly {solution.status}")
     return 1.0 - solution.objective
+
+
+def hamming_graph_brute(k: int, n: int, c: int) -> tuple[tuple[int, ...], ...]:
+    """Successor lists of ``robust.hamming_graph`` by a pairwise string scan."""
+    strings = list(itertools.product(range(k), repeat=n))
+    return tuple(
+        tuple(v for v, sv in enumerate(strings) if sum(a != b for a, b in zip(su, sv)) <= c)
+        for su in strings
+    )
 
 
 def random_dist(rng: np.random.Generator, k: int, spread: float = 1.0):

@@ -14,7 +14,6 @@ from oracles import (
 from wmstat.agnostic import (
     UniformRegionLaw,
     build_agnostic_coupling,
-    coupling_miss_probability,
     integrality_check,
     loss_limit_gap,
     max_type2_loss,
@@ -25,7 +24,7 @@ from wmstat.agnostic import (
 )
 from wmstat.dist import DiscreteDist
 from wmstat.streams import substream
-from wmstat.ump import clipped_surplus
+from wmstat.ump import clipped_surplus, type1_exact, type2_exact
 
 
 class TestLossValue:
@@ -107,7 +106,7 @@ class TestCouplingConstruction:
         rho = DiscreteDist(probs=(Fraction(1, 2), Fraction(1, 2), 0, 0))
         coupling, loss = build_agnostic_coupling(rho, law)
         assert loss == pytest.approx(1 / 6, abs=1e-12)
-        assert coupling_miss_probability(coupling) == pytest.approx(loss, abs=1e-12)
+        assert type2_exact(coupling) == pytest.approx(loss, abs=1e-12)
 
     def test_uniform_everywhere_lossless(self):
         law = UniformRegionLaw(n=4, region_size=2)
@@ -127,12 +126,29 @@ class TestCouplingConstruction:
         for _ in range(10):
             rho = DiscreteDist(probs=random_dist(rng, 6))
             coupling, loss = build_agnostic_coupling(rho, law)
-            got = coupling.outcome_marginal(6)
+            got = coupling.x_marginal().probs
             assert got == pytest.approx(list(rho.probs), abs=1e-9)
+            per_region: dict = {}
+            for _, region, m in coupling.atoms:
+                per_region[region] = per_region.get(region, 0.0) + m
+            assert len(per_region) == math.comb(6, 2)
             quota = 1.0 / law.n_subsets
-            for mass in coupling.subset_marginal():
+            for mass in per_region.values():
                 assert mass == pytest.approx(quota, abs=1e-9)
-            assert all(m >= 0 for _, _, m in coupling.flows)
+            assert all(m >= 0 for _, _, m in coupling.atoms)
+            assert type2_exact(coupling) == pytest.approx(loss, abs=1e-12)
+
+    def test_level_is_alpha(self):
+        # every outcome lies in C(n-1, m-1) of the C(n, m) equally likely subsets
+        rng = np.random.default_rng(6)
+        for n, m in ((4, 2), (6, 2), (8, 2), (9, 3), (12, 3)):
+            law = UniformRegionLaw(n=n, region_size=m)
+            weights = rng.integers(0, 6, size=n)
+            weights[0] += 1
+            exact = DiscreteDist(probs=tuple(Fraction(int(w), int(weights.sum())) for w in weights))
+            for rho in (exact, DiscreteDist(probs=random_dist(rng, n))):
+                coupling, _ = build_agnostic_coupling(rho, law)
+                assert type1_exact(coupling) == pytest.approx(m / n, abs=1e-9)
 
     def test_loss_equals_worst_set_gap(self):
         # min-cut duality: flow loss = max over U of rho(U) - hit probability

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wmstat import schemes
 from wmstat.cli import CsvTable, ConfigError, build_config, fmt, main
 from wmstat.streams import substream
 
@@ -247,6 +248,25 @@ class TestExperiments:
     def test_schemes_christ_needs_binary(self, capsys):
         assert main(["schemes", "--lm", "drifting4", "--scheme", "christ", "--seed", "1"]) == 2
         assert "binary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--scheme", "srl+nope", "--trials", "5000"], ["--scheme", "srl+its", "--n", "5"]],
+        ids=["unknown-scheme", "its-too-short"],
+    )
+    def test_schemes_checked_before_any_estimate(self, monkeypatch, capsys, args):
+        def estimate(*_args, **_kwargs):
+            raise AssertionError("an estimate ran before every scheme was checked")
+
+        monkeypatch.setattr(schemes, "estimate_errors", estimate)
+        assert main(["schemes", *args, "--seed", "1"]) == 2
+        assert capsys.readouterr().err
+
+    def test_svg_without_plot_hint_writes_nothing(self, tmp_path, capsys):
+        out, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+        assert main(["agnostic", "--out", str(out), "--svg", str(svg), "--seed", "1"]) == 2
+        assert "plot hint" in capsys.readouterr().err
+        assert not out.exists() and not svg.exists()
 
     def test_svg_plot_written(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_dist, vertex_enumeration_optimum
+from oracles import hamming_graph_brute, random_dist, vertex_enumeration_optimum
 from wmstat.dist import DiscreteDist
 from wmstat.robust import (
     PerturbationGraph,
@@ -73,6 +73,13 @@ class TestHammingGraph:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hamming_graph(10, 5, 1)
+
+    @pytest.mark.parametrize(
+        "k,n,c",
+        [(2, 0, 1), (2, 1, 0), (2, 3, 1), (3, 3, 2), (2, 6, 2), (2, 8, 1), (2, 9, 1), (4, 4, 1)],
+    )
+    def test_matches_pairwise_scan(self, k, n, c):
+        assert hamming_graph(k, n, c).out_adj == hamming_graph_brute(k, n, c)
 
 
 class TestShrinkage:
