@@ -24,7 +24,9 @@ from .dist import DiscreteDist, ResourceLimit, binom_exact
 from .flow import FlowNetwork
 from .ump import Coupling, Region
 
-MAX_ENUM_SUBSETS = 100_000
+# the largest subset count measured to build a coupling within 30 s (n=36, m=3:
+# 7140 subsets in 12 s on a 2-core Xeon VM; n=39, m=3: 9139 subsets took 34 s)
+MAX_ENUM_SUBSETS = 7140
 
 
 @dataclass(frozen=True)

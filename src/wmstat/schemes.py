@@ -25,8 +25,11 @@ scheme supplying only its per-position rule, and ``test`` detects.  A
 detector recomputes everything from the key except keyed binary's start index,
 the only region description (``meta``) a generation hands on.  Per-key
 ``generate``/``detect`` are the batch of one and the error estimates run
-fixed-size blocks of trials; every result is bit-identical to running one key
-and one token at a time.
+fixed-size blocks of trials.  A batch draws each stream domain's uniforms,
+and the estimates their trial keys and null text, for all its paths at once
+(``streams.substream_uniforms``/``substream_keys``); soft red list partitions
+and ITS permutations and resamples take one ``substream`` per key.  Every
+result is bit-identical to running one key and one token at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from .dist import _check_alpha
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.sample
 from .lm import ToyLM, inverse_cdf
-from .streams import map_trials, substream
+from .streams import map_trials, substream, substream_keys, substream_uniforms
 
 # stream domains hanging off a watermark key
 _D_PROVIDER = 0  # generation-side draws a detector never recomputes
@@ -223,7 +226,7 @@ class SoftRedList(_Scheme):
             raise ValueError("config vocab size must match the model")
         probs = lm.tables.probs
         boost = math.exp(cfg.delta)
-        us = np.stack([substream(key.seed, _D_PROVIDER).random(cfg.n) for key in keys])
+        us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), cfg.n)
 
         def boosted(j: int, prev: np.ndarray) -> np.ndarray:
             rows = probs[prev]
@@ -270,7 +273,7 @@ class ChristBinary(_Scheme):
 
     def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
         """Keyed uniforms; the keyed token at position j uses draw j - start."""
-        return np.stack([substream(key.seed, _D_CHRIST_U).random(n) for key in keys])
+        return substream_uniforms([key.seed for key in keys], (_D_CHRIST_U,), n)
 
     def sample(self, lm: ToyLM, keys, us: np.ndarray):
         if lm.vocab_size != 2:
@@ -278,7 +281,7 @@ class ChristBinary(_Scheme):
         cfg = self.cfg
         tables = lm.tables
         # the unkeyed prefix is positions 0..start-1, so it uses draws 0..start-1
-        prefix_us = np.stack([substream(key.seed, _D_PROVIDER).random(cfg.n) for key in keys])
+        prefix_us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), cfg.n)
         paths = np.arange(len(keys))
         accrued = np.zeros(len(keys))
         drawn = np.zeros(len(keys), dtype=np.int64)  # keyed draws used: j - start once keyed
@@ -388,11 +391,6 @@ class InverseTransform(_Scheme):
 
     name = "inverse-transform"
 
-    def _xi(self, key: WatermarkKey, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
-        us = substream(key.seed, _D_ITS_U).random(n)
-        return us, substream(key.seed, _D_ITS_PI).permutation(self.cfg.vocab_size)
-
     def _with_resamples(self, key: WatermarkKey, us: np.ndarray, perm: np.ndarray):
         """Uniforms ``[R+1, L]`` (the keyed draw, then its resamples) and each token's rank."""
         cfg = self.cfg
@@ -401,8 +399,9 @@ class InverseTransform(_Scheme):
         return u_all, np.argsort(perm) / max(cfg.vocab_size - 1, 1)
 
     def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
-        us, perms = zip(*(self._xi(key, n) for key in keys))
-        return np.stack(us), np.stack(perms)
+        """Each key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
+        perms = [substream(key.seed, _D_ITS_PI).permutation(self.cfg.vocab_size) for key in keys]
+        return substream_uniforms([key.seed for key in keys], (_D_ITS_U,), n), np.array(perms)
 
     def sample(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray]):
         cfg = self.cfg
@@ -458,14 +457,11 @@ class UmpSequence(_Scheme):
         """Each key's region: its sequence X of the configured length, whatever
         the text length n, and whether the region is live."""
         cfg = self.cfg
-        us = np.stack([substream(key.seed, _D_UMP_X).random(cfg.n) for key in keys])
-        x = lm.sample_paths(us)
+        seeds = [key.seed for key in keys]
+        x = lm.sample_paths(substream_uniforms(seeds, (_D_UMP_X,), cfg.n))
         log_accept = (math.log(cfg.target_alpha) - lm.logprobs(x)).tolist()
-        live = [
-            substream(key.seed, _D_UMP_COIN).random() <= (1.0 if la >= 0.0 else math.exp(la))
-            for key, la in zip(keys, log_accept)
-        ]
-        return x, np.array(live)
+        accept = [1.0 if la >= 0.0 else math.exp(la) for la in log_accept]
+        return x, substream_uniforms(seeds, (_D_UMP_COIN,), 1)[:, 0] <= np.array(accept)
 
     def sample(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray]):
         return region[0], [None] * len(keys)
@@ -481,10 +477,6 @@ class UmpSequence(_Scheme):
 # empirical error rates
 
 
-def _trial_key(seed: int, domain: int, trial: int) -> WatermarkKey:
-    return WatermarkKey(seed=int(substream(seed, domain, trial).integers(1 << 62)))
-
-
 def _rejections(scheme, lm: ToyLM, trials: int, seed: int, null_text: bool) -> int:
     """Rejections over ``trials`` keyed trials, run in blocks of TRIAL_BLOCK.
 
@@ -497,13 +489,12 @@ def _rejections(scheme, lm: ToyLM, trials: int, seed: int, null_text: bool) -> i
     domain = _D_NULL_KEY if null_text else _D_WM_KEY
 
     def block(b: int) -> int:
-        ts = range(b * TRIAL_BLOCK, min((b + 1) * TRIAL_BLOCK, trials))
-        keys = [_trial_key(seed, domain, t) for t in ts]
+        ts = np.arange(b * TRIAL_BLOCK, min((b + 1) * TRIAL_BLOCK, trials))
+        keys = [WatermarkKey(seed=k) for k in substream_keys(seed, (domain, ts)).tolist()]
         keyed = scheme.keyed(lm, keys, n)
         tokens, meta = scheme.sample(lm, keys, keyed)
         if null_text:
-            us = np.stack([substream(seed, _D_NULL_TEXT, t).random(n) for t in ts])
-            tokens = lm.sample_paths(us)
+            tokens = lm.sample_paths(substream_uniforms(seed, (_D_NULL_TEXT, ts), n))
         return int(np.count_nonzero(scheme.test(lm, keys, keyed, tokens, meta)[1]))
 
     return sum(map_trials(block, -(-trials // TRIAL_BLOCK)))

@@ -7,8 +7,9 @@ shares code paths with the library, except that ``ump_oracle`` solves its
 exhaustive LP with the library's simplex (itself checked against
 ``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
 input with ``integrality_check``, and the per-token scheme loops take their
-keyed streams (``substream`` domains, green masks, ITS keys and resamples)
-from the schemes themselves.
+stream domains, green masks and ITS resamples from the schemes themselves.
+The loops draw every keyed stream, trial keys included, from one
+``substream`` per key, where the schemes use the batched twins.
 """
 
 from __future__ import annotations
@@ -332,8 +333,14 @@ def christ_detect_loop(scheme, lm, key, tokens, meta) -> tuple[float, bool]:
     return statistic, statistic >= sch.erlang_upper_quantile(m, scheme.cfg.target_alpha)
 
 
+def its_xi(scheme, key, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key's n ITS uniforms and its one permutation ``[V]`` (rank -> token)."""
+    us = substream(key.seed, sch._D_ITS_U).random(n)
+    return us, substream(key.seed, sch._D_ITS_PI).permutation(scheme.cfg.vocab_size)
+
+
 def its_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], None]:
-    us, perm = scheme._xi(key, scheme.cfg.n)
+    us, perm = its_xi(scheme, key, scheme.cfg.n)
     tokens = []
     prev = None
     for j in range(scheme.cfg.n):
@@ -358,7 +365,7 @@ def its_detect_loop(scheme, lm, key, tokens, meta=None) -> tuple[float, bool]:
     cfg = scheme.cfg
     tokens = np.asarray(tuple(tokens))
     length = len(tokens)
-    u_all, rank_all = scheme._with_resamples(key, *scheme._xi(key, length))
+    u_all, rank_all = scheme._with_resamples(key, *its_xi(scheme, key, length))
     phi = alignment_phi_tensor(u_all, rank_all, tokens, cfg.block_k - 1)
     p_value = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
     return p_value, p_value <= cfg.target_alpha
@@ -390,13 +397,17 @@ SCHEME_LOOPS = {
 }
 
 
+def trial_key(seed: int, domain: int, trial: int) -> sch.WatermarkKey:
+    return sch.WatermarkKey(seed=int(substream(seed, domain, trial).integers(1 << 62)))
+
+
 def estimate_loop(scheme, lm, trials: int, seed: int, null_text: bool) -> float:
     """Type I (``null_text``) or Type II rate, one trial and one token at a time."""
     generate, detect = SCHEME_LOOPS[type(scheme)]
     domain = sch._D_NULL_KEY if null_text else sch._D_WM_KEY
     hits = []
     for t in range(trials):
-        key = sch._trial_key(seed, domain, t)
+        key = trial_key(seed, domain, t)
         tokens, meta = generate(scheme, lm, key)
         if null_text:
             tokens = sample_sequence_loop(lm, scheme.cfg.n, substream(seed, sch._D_NULL_TEXT, t))

@@ -68,6 +68,13 @@ class TestConfigParsing:
         assert code == 1
         assert "limit" in capsys.readouterr().err
 
+    def test_agnostic_subset_cap_exit_code(self, tmp_path, capsys):
+        # C(16, 8) = 12 870 subsets: above the cap, so the first coupling stops the run
+        out = tmp_path / "a.csv"
+        code = main(["agnostic", "--n", "16", "--alpha", "1/2", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert "12870 subsets" in capsys.readouterr().err
+
     def test_bad_level_is_config_error(self, capsys):
         assert main(["ump", "--alphas", "1.5", "--seed", "1"]) == 2
         err = capsys.readouterr().err

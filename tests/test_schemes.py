@@ -497,7 +497,7 @@ class TestBatchedEngine:
             scheme = InverseTransform(cfg)
             key = WatermarkKey(seed=n * 31 + window)
             tokens = np.array(lm.sample_sequence(n, substream(23, n)))
-            u_all, rank_all = scheme._with_resamples(key, *scheme._xi(key, n))
+            u_all, rank_all = scheme._with_resamples(key, *oracles.its_xi(scheme, key, n))
             assert rank_all.shape == (vocab,)
             if batched:
                 got = _alignment_phi(u_all, rank_all, tokens, window)
