@@ -10,8 +10,9 @@ temporary copy, so it never writes ``out/``; its CSVs are compared with
 ``out/`` byte for byte, and every CSV it is meant to write must be there.
 Each benchmark run lasts the benchmark's own ``run_seconds``.  The JSON
 file at the repository root has a ``machine`` block, from the benchmark's
-own report, and an ``e2e`` block: each workload's gated metrics per seed
-with their medians, and each timing.
+own report; an ``e2e`` block: each workload's gated metrics per seed with
+their medians, and each timing; and ``src_lines``, the line count of
+``src/wmstat/*.py`` as ``cat src/wmstat/*.py | wc -l`` gives it.
 Run it from any directory; it exits 1 if any step failed.
 """
 
@@ -92,6 +93,11 @@ def run_all() -> dict:
     return {"wall_s": wall, "exit": proc.returncode, "csvs": len(written), "match_out": same}
 
 
+def src_lines() -> int:
+    """Newlines in ``src/wmstat/*.py``, as ``cat src/wmstat/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "wmstat").glob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="n in BENCH_<n>.json")
@@ -120,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%MZ"),
         "command": " ".join(["scripts/bench.py", *(argv if argv is not None else sys.argv[1:])]),
         "machine": {**machine, "platform": platform.platform()},
+        "src_lines": src_lines(),
         "e2e": e2e,
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")

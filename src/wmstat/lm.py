@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import DiscreteDist, ResourceLimit, _cdf_of, parse_field, read_records
+from .dist import DiscreteDist, _cdf_of, parse_field, read_records
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.lm.sample
 
 
@@ -104,23 +104,6 @@ class ToyLM:
     def sequence_logprob(self, tokens) -> float:
         return float(self.logprobs(np.array([tuple(tokens)], dtype=np.int64))[0])
 
-    def enumerate_sequences(self, n: int):
-        """All (tokens, probability) pairs of length n; for exact-law checks."""
-        if self.vocab_size**n > 1_000_000:
-            raise ResourceLimit("sequence space too large to enumerate")
-        frontier: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-        for _ in range(n):
-            nxt = []
-            for tokens, prob in frontier:
-                prev = tokens[-1] if tokens else None
-                row = self.next_dist(prev)
-                for tok in range(self.vocab_size):
-                    p = float(row.probs[tok])
-                    if p > 0.0:
-                        nxt.append((tokens + (tok,), prob * p))
-            frontier = nxt
-        return frontier
-
 
 def fair_coin_lm() -> ToyLM:
     half = DiscreteDist(probs=(0.5, 0.5))
@@ -176,6 +159,8 @@ def load_lm(path: str | Path) -> ToyLM:
     if len(head) != 2 or head[0] != "vocab":
         raise ValueError(f"first line must be 'vocab N', got {' '.join(head)!r}")
     n = parse_field(int, head[1], path, line)
+    if n < 2:
+        raise ValueError(f"{path}, line {line}: vocab must be >= 2, got {n}")
     if len(records) != 2 + n:
         raise ValueError(f"expected initial row plus {n} transition rows")
 

@@ -163,6 +163,8 @@ def type2_product_mc(
     order.
     """
     _check_alpha(alpha)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     log_probs = np.array(

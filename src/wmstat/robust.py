@@ -90,6 +90,8 @@ def load_graph(path: str | Path) -> PerturbationGraph:
     if len(head) != 2 or head[0] != "vertices":
         raise ValueError(f"first line must be 'vertices N', got {' '.join(head)!r}")
     n = parse_field(int, head[1], path, line)
+    if n < 1:
+        raise ValueError(f"{path}, line {line}: vertices must be >= 1, got {n}")
     edges = []
     for line, parts in records[1:]:
         if len(parts) != 2:
@@ -172,10 +174,7 @@ def robust_optimal_type2(
     include_sum_row: bool = False,
 ) -> tuple[float, LpSolution]:
     """Optimal robust miss probability and the LP solution achieving it."""
-    problem = robust_lp_build(rho, alpha, graph, include_sum_row)
-    solution = simplex_solve(problem)
-    if solution.status != "optimal":
-        raise AssertionError(f"robust LP unexpectedly {solution.status}")
+    solution = simplex_solve(robust_lp_build(rho, alpha, graph, include_sum_row))
     return 1.0 - float(solution.objective), solution
 
 

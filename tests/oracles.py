@@ -6,8 +6,10 @@ scans, exact-rational re-summation, one-token-at-a-time samplers.  None of it
 shares code paths with the library, except that ``ump_oracle`` solves its
 exhaustive LP with the library's simplex (itself checked against
 ``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
-input with ``integrality_check``, and the per-token scheme loops take their
-stream domains, green masks and ITS resamples from the schemes themselves.
+input with ``integrality_check``, ``srl_type1_exact`` takes the detector's
+threshold from ``binomial_reject_threshold``, and the per-token scheme loops
+take their stream domains, green masks and ITS resamples from the schemes
+themselves.
 The loops draw every keyed stream, trial keys included, from one
 ``substream`` per key, where the schemes use the batched twins.
 """
@@ -22,7 +24,8 @@ import numpy as np
 
 from wmstat import schemes as sch
 from wmstat.agnostic import integrality_check
-from wmstat.dist import DiscreteDist, sample
+from wmstat.dist import DiscreteDist, ResourceLimit, sample
+from wmstat.lm import ToyLM
 from wmstat.simplex import LpProblem, simplex_solve
 from wmstat.streams import substream
 
@@ -175,8 +178,10 @@ def ump_oracle(rho: DiscreteDist, alpha: float) -> float:
 
     Solves the full LP over conditional region probabilities P(R | x) for
     every region R of a tiny sample space, including the empty region, with
-    the per-outcome conditionals constrained to sum to exactly 1.  Certifies
-    the closed-form optimum independently of the coupling construction.
+    the per-outcome conditionals constrained to sum to at most 1: the empty
+    region absorbs any slack without detecting or rejecting anything, so the
+    optimum is that of the exact-sum LP.  Certifies the closed-form optimum
+    independently of the coupling construction.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
@@ -201,12 +206,11 @@ def ump_oracle(rho: DiscreteDist, alpha: float) -> float:
                 objective[var(x, r)] = probs[x]
 
     constraints = []
-    for x in range(k):  # conditional masses sum to exactly 1 (== as two <= rows)
+    for x in range(k):  # conditional masses sum to at most 1
         row = [0.0] * n_vars
         for r in range(len(regions)):
             row[var(x, r)] = 1.0
         constraints.append((tuple(row), 1.0))
-        constraints.append((tuple(-v for v in row), -1.0))
     for y in range(k):  # point-mass Type I constraint at each outcome
         row = [0.0] * n_vars
         for x in range(k):
@@ -220,10 +224,27 @@ def ump_oracle(rho: DiscreteDist, alpha: float) -> float:
         constraints=tuple(constraints),
         bounds=((0.0, 1.0),) * n_vars,
     )
-    solution = simplex_solve(problem)
-    if solution.status != "optimal":
-        raise AssertionError(f"oracle LP unexpectedly {solution.status}")
-    return 1.0 - solution.objective
+    return 1.0 - simplex_solve(problem).objective
+
+
+def iid_lm(row: DiscreteDist) -> ToyLM:
+    """A model whose initial law and every transition row are ``row``: i.i.d. tokens."""
+    return ToyLM(vocab_size=row.k, initial=row, transitions=(row,) * row.k)
+
+
+def srl_type1_exact(cfg: sch.SoftRedListConfig) -> float:
+    """Soft red list Type I: P(Binomial(n, g/V) >= the detector's threshold).
+
+    The key draws each position's green set as a fresh uniform g-subset, apart
+    from the text, so on null text each token is green with probability g/V
+    independently, whatever the model.  Summed in exact rationals.
+    """
+    n, g, vocab = cfg.n, cfg.green_size, cfg.vocab_size
+    threshold = sch.binomial_reject_threshold(n, g, vocab, cfg.target_alpha)
+    green = Fraction(g, vocab)
+    return float(
+        sum(math.comb(n, j) * green**j * (1 - green) ** (n - j) for j in range(threshold, n + 1))
+    )
 
 
 def hamming_graph_brute(k: int, n: int, c: int) -> tuple[tuple[int, ...], ...]:
@@ -253,6 +274,23 @@ def sample_sequence_loop(lm, n: int, rng: np.random.Generator) -> tuple[int, ...
         prev = sample(lm.next_dist(prev), rng)
         tokens.append(prev)
     return tuple(tokens)
+
+
+def enumerate_sequences(lm, n: int) -> list[tuple[tuple[int, ...], float]]:
+    """All (tokens, probability) pairs of length n, extended one token at a time."""
+    if lm.vocab_size**n > 1_000_000:
+        raise ResourceLimit("sequence space too large to enumerate")
+    frontier: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+    for _ in range(n):
+        nxt = []
+        for tokens, prob in frontier:
+            row = lm.next_dist(tokens[-1] if tokens else None)
+            for tok in range(lm.vocab_size):
+                p = float(row.probs[tok])
+                if p > 0.0:
+                    nxt.append((tokens + (tok,), prob * p))
+        frontier = nxt
+    return frontier
 
 
 def sequence_logprob_loop(lm, tokens) -> float:

@@ -112,19 +112,29 @@ class TestConfigParsing:
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args, text, line",
+        "args, text, message",
         [
-            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices x\n", 1),
-            (["robust", "--rho", "0.5,0.5", "--graphs"], "# edges\nvertices 2\n\n0 y\n", 4),
-            (["schemes", "--scheme", "srl", "--lm"], "vocab x\n0.5 0.5\n", 1),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices x\n", "line 1: expected int"),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "# edges\nvertices 2\n\n0 y\n",
+             "line 4: expected int"),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab x\n0.5 0.5\n", "line 1: expected int"),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "# edges\nvertices -1\n",
+             "line 2: vertices must be >= 1, got -1"),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices 0\n",
+             "line 1: vertices must be >= 1, got 0"),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab -1\n0.5 0.5\n",
+             "line 1: vocab must be >= 2, got -1"),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab 0\n0.5 0.5\n",
+             "line 1: vocab must be >= 2, got 0"),
         ],
-        ids=["vertices", "edge", "vocab"],
+        ids=["vertices", "edge", "vocab", "vertices-negative", "vertices-zero", "vocab-negative",
+             "vocab-zero"],
     )
-    def test_non_integer_field_names_file_and_line(self, tmp_path, capsys, args, text, line):
+    def test_non_integer_field_names_file_and_line(self, tmp_path, capsys, args, text, message):
         path = tmp_path / "in.txt"
         path.write_text(text)
         assert main(args + [f"@{path}", "--seed", "1"]) == 2
-        assert f"{path}, line {line}: expected int" in capsys.readouterr().err
+        assert f"{path}, {message}" in capsys.readouterr().err
 
     def test_rho_graph_size_mismatch_names_key_and_graph(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

@@ -93,6 +93,13 @@ class TestMonteCarloProduct:
         with pytest.raises(ValueError):
             type2_product_mc(DiscreteDist.uniform(2), 2, 0.1, 50, 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one(self, n):
+        # the Monte Carlo path rejects a length with the exact path's message
+        for estimate in (type2_product_exact, lambda *args: type2_product_mc(*args, 1000, 0)):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                estimate(DiscreteDist.uniform(2), n, 0.1)
+
     def test_twenty_random_instances(self):
         rng = np.random.default_rng(20)
         for _ in range(20):

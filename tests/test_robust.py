@@ -179,6 +179,24 @@ class TestRobustLp:
             assert mine.objective == pytest.approx(want, abs=1e-8)
 
 
+# float.hex of the robust miss at alpha = 0.05, one seeded Dirichlet rho per
+# graph: any change to the simplex's pivot order or rounding steps shows here
+HAMMING_PINS = {
+    (2, 8, 1): "0x1.9586bf0a26260p-5",
+    (2, 9, 1): "0x1.8000000000000p-49",
+    (2, 6, 2): "0x1.b654efc3d47ccp-1",
+}
+
+
+@pytest.mark.parametrize("spec", HAMMING_PINS, ids=lambda spec: "hamming-%d-%d-%d" % spec)
+def test_hamming_robust_optimum_bits(spec):
+    k, n, c = spec
+    probs = np.random.default_rng(2312_07930).dirichlet(np.ones(k**n))
+    rho = DiscreteDist(probs=tuple(probs.tolist()))
+    beta, _ = robust_optimal_type2(rho, 0.05, hamming_graph(k, n, c))
+    assert beta.hex() == HAMMING_PINS[spec]
+
+
 class TestRobustCoupling:
     def test_selfloops_equals_plain_coupling(self):
         rho = DiscreteDist(probs=(0.5, 0.5))

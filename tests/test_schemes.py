@@ -8,6 +8,7 @@ import oracles
 from oracles import its_token
 from wmstat.lm import (ToyLM, biased_binary_lm, deterministic_lm, drifting_lm,
                        fair_coin_lm, load_lm, save_lm)
+from wmstat.rates import hard_instance, type2_product_exact
 from wmstat.streams import substream
 from wmstat.schemes import (
     ChristBinary,
@@ -39,7 +40,7 @@ def sequence_tv(lm: ToyLM, tokens: np.ndarray) -> float:
     """TV between the empirical law of the token rows and the model law."""
     keys, n = tokens.shape
     counts = Counter(map(tuple, tokens.tolist()))
-    exact = {tuple(seq): p for seq, p in lm.enumerate_sequences(n)}
+    exact = {tuple(seq): p for seq, p in oracles.enumerate_sequences(lm, n)}
     support = set(exact) | set(counts)
     return 0.5 * sum(
         abs(counts.get(s, 0) / keys - exact.get(s, 0.0)) for s in support
@@ -357,6 +358,28 @@ class TestErrorEstimation:
             assert ump_miss <= miss + 4 * math.hypot(ump_se, se), scheme.name
 
 
+class TestExactIidReferences:
+    """Monte Carlo estimates against exact values, within 4 sigma of the exact rate."""
+
+    @staticmethod
+    def assert_within_4_sigma(estimate: float, exact: float, trials: int) -> None:
+        assert abs(estimate - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    @pytest.mark.parametrize("model", ["fair-coin", "drifting6"])
+    def test_soft_red_list_type1(self, model):
+        lm = MODELS[model]
+        cfg = SoftRedListConfig(n=100, target_alpha=0.05, vocab_size=lm.vocab_size)
+        type1, _ = estimate_type1(SoftRedList(cfg), lm, trials=2000, seed=71)
+        self.assert_within_4_sigma(type1, oracles.srl_type1_exact(cfg), 2000)
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_ump_sequence_type2(self, n):
+        row = hard_instance(0.1)
+        cfg = UmpSequenceConfig(n=n, target_alpha=0.01)
+        miss, _ = estimate_type2(UmpSequence(cfg), oracles.iid_lm(row), trials=4000, seed=72)
+        self.assert_within_4_sigma(miss, type2_product_exact(row, n, 0.01), 4000)
+
+
 class TestToyLmIo:
     def test_roundtrip(self, tmp_path):
         lm = drifting_lm(4)
@@ -378,7 +401,7 @@ class TestToyLmIo:
         lm = fair_coin_lm()
         assert lm.sequence_logprob((0, 1, 1)) == pytest.approx(3 * math.log(0.5))
         probs = dict()
-        for seq, p in lm.enumerate_sequences(3):
+        for seq, p in oracles.enumerate_sequences(lm, 3):
             probs[seq] = p
         assert sum(probs.values()) == pytest.approx(1.0)
         assert probs[(0, 1, 1)] == pytest.approx(0.125)
