@@ -3,15 +3,17 @@
 
     python3 scripts/bench.py --pr 6 --seeds 5201,5202,5203
 
-Runs ``perfbench/run.py --trace 0`` once per workload and seed, then times
-the tier-1 suite, acceptance criterion 8 (its call time under pytest's
-``--durations``) and ``scripts/run_all.py``.  ``run_all.py`` runs from a
+Runs ``perfbench/run.py --trace 0`` once per workload and seed and
+``--trace 1`` once per workload (with the first seed), then times the tier-1
+suite, acceptance criterion 8 (its call time under pytest's ``--durations``)
+and ``scripts/run_all.py``.  ``run_all.py`` runs from a
 temporary copy, so it never writes ``out/``; its CSVs are compared with
 ``out/`` byte for byte, and every CSV it is meant to write must be there.
 Each benchmark run lasts the benchmark's own ``run_seconds``.  The JSON
 file at the repository root has a ``machine`` block, from the benchmark's
 own report; an ``e2e`` block: each workload's gated metrics per seed with
-their medians, and each timing; and ``src_lines``, the line count of
+their medians, and each timing; a ``layers`` block: each workload's
+per-layer metrics from its traced run; and ``src_lines``, the line count of
 ``src/wmstat/*.py`` as ``cat src/wmstat/*.py | wc -l`` gives it.
 Run it from any directory; it exits 1 if any step failed.
 """
@@ -51,18 +53,30 @@ def _run(args: list[str], cwd: Path = ROOT, src: bool = True) -> tuple[subproces
     return proc, perf_counter() - start
 
 
-def workload(name: str, seed: int) -> tuple[dict, dict]:
-    """One untraced benchmark run: its figures and the report's machine block."""
+def bench_run(name: str, seed: int, trace: int) -> tuple[dict, dict]:
+    """One benchmark run: the seed, correctness and failures, and the saved report."""
     # as the benchmark is run: it imports wmstat from src/ itself
     proc, _ = _run([sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-                    "--seconds", str(RUN_SECONDS), "--trace", "0"], src=False)
+                    "--seconds", str(RUN_SECONDS), "--trace", str(trace)], src=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{name} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
-    report = json.loads((ROOT / "perfbench" / "out" / f"{name}-seed{seed}-trace0.json").read_text())
-    run = {"seed": seed, "correct": line["correct"], "failed": line["failed"]}
+    report = json.loads((ROOT / "perfbench" / "out" / f"{name}-seed{seed}-trace{trace}.json").read_text())
+    return {"seed": seed, "correct": line["correct"], "failed": line["failed"]}, report
+
+
+def workload(name: str, seed: int) -> tuple[dict, dict]:
+    """One untraced benchmark run: its figures and the report's machine block."""
+    run, report = bench_run(name, seed, 0)
     run.update({k: report["end_to_end"][k]["value"] for k in (*GATED, "wall_s")})
     return run, report["machine"]
+
+
+def layers(name: str, seed: int) -> dict:
+    """One traced benchmark run: its per-layer metrics."""
+    run, report = bench_run(name, seed, 1)
+    run["metrics"] = {k: m["value"] for k, m in report["per_layer"].items()}
+    return run
 
 
 def pytest_run(args: list[str]) -> dict:
@@ -113,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
             runs.append(run)
             print(f"{name} seed {seed}: " + ", ".join(f"{k} {run[k]:.4g}" for k in GATED), flush=True)
         e2e[name] = {"runs": runs, "median": {k: statistics.median(r[k] for r in runs) for k in GATED}}
+    traced = {name: layers(name, seeds[0]) for name in WORKLOADS}
+    for name in WORKLOADS:
+        print(f"{name} traced seed {seeds[0]}: {len(traced[name]['metrics'])} metrics", flush=True)
     tier1 = pytest_run(["--continue-on-collection-errors"])
     tier1.pop("stdout")
     e2e["tier1"] = tier1
@@ -128,9 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {**machine, "platform": platform.platform()},
         "src_lines": src_lines(),
         "e2e": e2e,
+        "layers": traced,
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")
-    ok = (all(r["correct"] for w in WORKLOADS for r in e2e[w]["runs"])
+    ok = (all(r["correct"] for w in WORKLOADS for r in [*e2e[w]["runs"], traced[w]])
           and e2e["tier1"]["exit"] == 0 and e2e["criterion_8"]["exit"] == 0
           and e2e["run_all"]["exit"] == 0 and e2e["run_all"]["match_out"])
     return 0 if ok else 1

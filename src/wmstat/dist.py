@@ -191,4 +191,4 @@ def sample(d: DiscreteDist, rng: np.random.Generator) -> int:
 def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized i.i.d. draws from ``d`` as an int array."""
     cdf = np.asarray(_cdf(d))
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
+    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64, copy=False)

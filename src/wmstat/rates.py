@@ -1,13 +1,13 @@
 """Type II error of the optimal coupling on i.i.d. token sequences.
 
 For a per-token distribution repeated n times, the optimal miss probability
-is the mass of sequence-probability classes exceeding the level alpha.  This
-module computes it exactly (count-vector enumeration in log space, with a
-fast binomial specialization for two-outcome tokens), estimates it by Monte
-Carlo, provides the two-point minimum-entropy instance that drives the rate
-lower bound, evaluates the closed-form lower/upper bounds on the number of
-tokens needed for target error levels, and searches for the empirical
-crossing point.
+is the mass of sequence-probability classes exceeding the level alpha; fewer
+than 1/alpha classes can.  This module computes it exactly (a log-space walk
+that visits only those count vectors, or a binomial specialization for two
+outcomes), estimates it by Monte Carlo, provides the two-point minimum-entropy
+instance behind the rate lower bound, evaluates the closed-form lower/upper
+bounds on the tokens needed for target error levels, and searches for the
+empirical crossing point.
 """
 
 from __future__ import annotations
@@ -98,7 +98,12 @@ def _beta_binomial(log_p: float, log_q: float, n: int, log_alpha: float) -> floa
 
 
 def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
-    """Generic enumeration over count-vector classes, log space, fsum."""
+    """Sum over the count-vector classes above alpha, in log space, by fsum.
+
+    A prefix at log-probability lc with r tokens left completes to at most
+    lc + r*max(log_probs[idx:]), linear in each count; runs of children under
+    log(alpha)*(1 + 1e-9), a margin far above rounding, are cut.  Kept classes
+    take the full walk's float steps and fsum rounds exactly: bit-identical."""
     k = len(probs)
     n_classes = math.comb(n + k - 1, k - 1)
     if n_classes > MAX_COUNT_CLASSES:
@@ -107,9 +112,10 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
             f"{MAX_COUNT_CLASSES}; too large, use the Monte Carlo estimator"
         )
     log_probs = [math.log(p) for p in probs]
+    best = np.maximum.accumulate(log_probs[::-1])[::-1].tolist()  # suffix maxima
     log_alpha = math.log(alpha)
+    cut = log_alpha * (1.0 + 1e-9)
     lgam = math.lgamma
-    log_n_fact = lgam(n + 1)
     terms: list[float] = []
 
     def visit(idx: int, remaining: int, log_class: float, log_mult: float) -> None:
@@ -121,10 +127,14 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
                     math.exp(log_mult + log_class) * (-math.expm1(log_alpha - log_class))
                 )
             return
-        for c in range(remaining + 1):
-            visit(idx + 1, remaining - c, log_class + c * log_probs[idx], log_mult - lgam(c + 1))
+        lp, rest = log_probs[idx], best[idx + 1]
+        for c in range(remaining, -1, -1) if lp >= rest else range(remaining + 1):
+            child = log_class + c * lp
+            if child + (remaining - c) * rest < cut:
+                break  # the bound only falls from here on
+            visit(idx + 1, remaining - c, child, log_mult - lgam(c + 1))
 
-    visit(0, n, 0.0, log_n_fact)
+    visit(0, n, 0.0, lgam(n + 1))
     return math.fsum(terms)
 
 

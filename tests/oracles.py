@@ -130,6 +130,35 @@ def type2_product_rational(probs, n: int, alpha: Fraction) -> Fraction:
     return total
 
 
+def beta_count_vectors_full(rho: DiscreteDist, n: int, alpha: float) -> float:
+    """The i.i.d. miss over every count-vector class, bit for bit as the library sums it.
+
+    Visits all C(n+k-1, k-1) classes with the library's float steps in log
+    space and sums the terms above alpha with fsum, the reference for the
+    pruned walk of ``rates._beta_count_vectors``.
+    """
+    log_probs = [math.log(float(p)) for p in rho.probs if float(p) > 0.0]
+    k = len(log_probs)
+    log_alpha = math.log(alpha)
+    terms: list[float] = []
+
+    def visit(idx: int, remaining: int, log_class: float, log_mult: float) -> None:
+        if idx == k - 1:
+            log_class += remaining * log_probs[idx]
+            if log_class > log_alpha:
+                log_mult -= math.lgamma(remaining + 1)
+                terms.append(
+                    math.exp(log_mult + log_class) * (-math.expm1(log_alpha - log_class))
+                )
+            return
+        for c in range(remaining + 1):
+            visit(idx + 1, remaining - c, log_class + c * log_probs[idx],
+                  log_mult - math.lgamma(c + 1))
+
+    visit(0, n, 0.0, math.lgamma(n + 1))
+    return math.fsum(terms)
+
+
 def worst_set_gap_brute(probs, law) -> float:
     """max over all U of rho(U) - P(region hits U), by full enumeration."""
     n = len(probs)
@@ -245,6 +274,29 @@ def srl_type1_exact(cfg: sch.SoftRedListConfig) -> float:
     return float(
         sum(math.comb(n, j) * green**j * (1 - green) ** (n - j) for j in range(threshold, n + 1))
     )
+
+
+def ump_type1_iid_exact(row: DiscreteDist, n: int, alpha: float) -> float:
+    """UMP-sequence Type I on n i.i.d. tokens of ``row``, in exact rationals.
+
+    The key's sequence X is live with probability min(1, alpha/P(X)), and null
+    text equals X with probability P(X), so Type I is the sum over count
+    classes of mult * p * min(p, alpha), with p the class's sequence probability.
+    """
+    probs = [Fraction(float(p)) for p in row.probs]
+    level = Fraction(alpha)
+    total = Fraction(0)
+    for counts in itertools.product(range(n + 1), repeat=len(probs) - 1):
+        if sum(counts) > n:
+            continue
+        counts = (*counts, n - sum(counts))
+        mult = math.factorial(n)
+        p = Fraction(1)
+        for c, q in zip(counts, probs):
+            mult //= math.factorial(c)
+            p *= q**c
+        total += mult * p * min(p, level)
+    return float(total)
 
 
 def hamming_graph_brute(k: int, n: int, c: int) -> tuple[tuple[int, ...], ...]:

@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import random_dist, type2_product_rational
+from oracles import beta_count_vectors_full, random_dist, type2_product_rational
 from wmstat.dist import LN2, DiscreteDist, entropy
 from wmstat.rates import (
     RateBounds,
@@ -72,6 +73,88 @@ class TestExactProduct:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             type2_product_exact(DiscreteDist.uniform(2), 2, 0.1, method="magic")
+
+
+class TestPrunedCountVectors:
+    """The count-vector walk visits only classes that can exceed alpha, and its
+    sum equals the walk over every class bit for bit."""
+
+    @staticmethod
+    def assert_same(rho, n, alpha):
+        got = type2_product_exact(rho, n, alpha, method="count-vectors")
+        assert got == beta_count_vectors_full(rho, n, alpha), (rho.probs, n, alpha)
+
+    @pytest.mark.parametrize("k, n", [(3, 300), (3, 600), (3, 1000), (4, 50), (4, 100), (4, 150)])
+    def test_rate_scan_points(self, k, n):
+        # the rate-scan benchmark's inputs: the likeliest sequence has
+        # probability alpha**u for u in (0.3, 0.7), the rest split at random
+        alpha = 0.01
+        for draw in range(3):
+            rng = np.random.default_rng([8, k, n, draw])
+            major = math.exp(rng.uniform(0.3, 0.7) * math.log(alpha) / n)
+            rest = (1.0 - major) * rng.dirichlet(np.ones(k - 1))
+            self.assert_same(DiscreteDist(probs=(major, *rest.tolist())), n, alpha)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(88)
+        for i in range(200):
+            k = int(rng.integers(3, 7))
+            if i % 2:
+                # a heavy major outcome at small alpha: many classes survive
+                major = float(rng.uniform(0.8, 0.999))
+                rest = (1.0 - major) * rng.dirichlet(np.ones(k - 1))
+                rho = DiscreteDist(probs=(major, *rest.tolist()))
+                alpha = float(10 ** rng.uniform(-9, -1))
+            else:
+                rho = DiscreteDist(probs=random_dist(rng, k, [0.1, 1.0, 10.0][i % 3]))
+                alpha = float(10 ** rng.uniform(-3, math.log10(0.9)))
+            n_max = max(n for n in range(1, 61) if math.comb(n + k - 1, k - 1) <= 5000)
+            self.assert_same(rho, int(rng.integers(1, n_max + 1)), alpha)
+
+    @pytest.mark.parametrize(
+        "probs, n",
+        [
+            ((0.5, 0.5), 12),
+            ((0.5, 0.25, 0.25), 12),
+            ((0.5, 0.25, 0.125, 0.125), 19),
+            ((0.25,) * 4, 23),
+            ((1 / 3,) * 3, 14),
+            ((0.2,) * 5, 9),
+            ((0.4, 0.3, 0.3), 13),
+            ((0.375, 0.375, 0.25), 14),
+        ],
+    )
+    def test_exact_ties(self, probs, n):
+        # alpha equal to a class probability, or within rounding of one: the
+        # dyadic levels 2**-m and each class's probability as a product and
+        # through logs; classes that differ only in the order of equal
+        # outcomes then round either side of log(alpha)
+        rho = DiscreteDist(probs=probs)
+        p = [float(q) for q in rho.probs]
+        alphas = {2.0**-m for m in range(1, 3 * n + 2)}
+        for counts in itertools.product(range(n + 1), repeat=len(p) - 1):
+            if sum(counts) <= n:
+                c = (*counts, n - sum(counts))
+                alphas.add(math.prod(q**ci for q, ci in zip(p, c)))
+                alphas.add(math.exp(sum(ci * math.log(q) for q, ci in zip(p, c))))
+        for alpha in sorted(a for a in alphas if 0.0 < a < 1.0):
+            self.assert_same(rho, n, alpha)
+
+    def test_work_tracks_kept_classes(self, monkeypatch):
+        # one lgamma per visited node: a few per kept class, not one per class
+        calls = 0
+        lgamma = math.lgamma
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        rho = DiscreteDist(probs=(0.999, 0.0006, 0.0004))
+        value = type2_product_exact(rho, 1000, 0.01, method="count-vectors")
+        assert value > 0.0
+        assert calls < 100  # the full walk visits 501 501 classes
 
 
 class TestMonteCarloProduct:

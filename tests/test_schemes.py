@@ -379,6 +379,13 @@ class TestExactIidReferences:
         miss, _ = estimate_type2(UmpSequence(cfg), oracles.iid_lm(row), trials=4000, seed=72)
         self.assert_within_4_sigma(miss, type2_product_exact(row, n, 0.01), 4000)
 
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_ump_sequence_type1(self, n):
+        row = hard_instance(0.1)
+        cfg = UmpSequenceConfig(n=n, target_alpha=0.01)
+        type1, _ = estimate_type1(UmpSequence(cfg), oracles.iid_lm(row), trials=4000, seed=73)
+        self.assert_within_4_sigma(type1, oracles.ump_type1_iid_exact(row, n, 0.01), 4000)
+
 
 class TestToyLmIo:
     def test_roundtrip(self, tmp_path):
