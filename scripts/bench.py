@@ -5,15 +5,17 @@
 
 Runs ``perfbench/run.py --trace 0`` once per workload and seed and
 ``--trace 1`` once per workload (with the first seed), then times the tier-1
-suite, acceptance criterion 8 (its call time under pytest's ``--durations``)
-and ``scripts/run_all.py``.  ``run_all.py`` runs from a
+suite, acceptance criterion 8 (its call time under pytest's ``--durations``),
+``scripts/run_all.py`` and each CLI experiment at its default config
+(``wmstat <name> --seed 1``, CSV to a pipe).  ``run_all.py`` runs from a
 temporary copy, so it never writes ``out/``; its CSVs are compared with
 ``out/`` byte for byte, and every CSV it is meant to write must be there.
 Each benchmark run lasts the benchmark's own ``run_seconds``.  The JSON
 file at the repository root has a ``machine`` block, from the benchmark's
 own report; an ``e2e`` block: each workload's gated metrics per seed with
-their medians, and each timing; a ``layers`` block: each workload's
-per-layer metrics from its traced run; and ``src_lines``, the line count of
+their medians, and each timing, the CLI's as ``cli.<name>_s`` with its
+``cli.<name>_exit``; a ``layers`` block: each workload's per-layer metrics
+from its traced run; and ``src_lines``, the line count of
 ``src/wmstat/*.py`` as ``cat src/wmstat/*.py | wc -l`` gives it.
 Run it from any directory; it exits 1 if any step failed.
 """
@@ -37,6 +39,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 from run_all import RUNS  # noqa: E402  (the experiments run_all.py runs, one CSV each)
+from wmstat.cli import EXPERIMENTS  # noqa: E402
 
 WORKLOADS = ("mc-schemes", "rate-scan", "lp-flow")
 GATED = ("setup_s", "wall_ref", "peak_rss_mb")
@@ -107,6 +110,16 @@ def run_all() -> dict:
     return {"wall_s": wall, "exit": proc.returncode, "csvs": len(written), "match_out": same}
 
 
+def cli_runs() -> dict:
+    """Wall time of ``wmstat <name> --seed 1`` per experiment, and each exit code."""
+    result = {}
+    for name in EXPERIMENTS:
+        proc, wall = _run([sys.executable, "-m", "wmstat.cli", name, "--seed", "1"])
+        result[f"{name}_s"] = wall
+        result[f"{name}_exit"] = proc.returncode
+    return result
+
+
 def src_lines() -> int:
     """Newlines in ``src/wmstat/*.py``, as ``cat src/wmstat/*.py | wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "wmstat").glob("*.py"))
@@ -135,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     e2e["tier1"] = tier1
     e2e["criterion_8"] = criterion_8()
     e2e["run_all"] = run_all()
-    for key in ("tier1", "criterion_8", "run_all"):
+    e2e["cli"] = cli_runs()
+    for key in ("tier1", "criterion_8", "run_all", "cli"):
         print(f"{key}: {e2e[key]}", flush=True)
 
     bench = {
@@ -150,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")
     ok = (all(r["correct"] for w in WORKLOADS for r in [*e2e[w]["runs"], traced[w]])
           and e2e["tier1"]["exit"] == 0 and e2e["criterion_8"]["exit"] == 0
-          and e2e["run_all"]["exit"] == 0 and e2e["run_all"]["match_out"])
+          and e2e["run_all"]["exit"] == 0 and e2e["run_all"]["match_out"]
+          and all(code == 0 for key, code in e2e["cli"].items() if key.endswith("_exit")))
     return 0 if ok else 1
 
 

@@ -100,7 +100,9 @@ def _beta_binomial(log_p: float, log_q: float, n: int, log_alpha: float) -> floa
 def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
     """Sum over the count-vector classes above alpha, in log space, by fsum.
 
-    A prefix at log-probability lc with r tokens left completes to at most
+    Walks the outcomes level by level, keeping a frontier of prefixes (tokens
+    left, log class probability, log multinomial).  A prefix at
+    log-probability lc with r tokens left completes to at most
     lc + r*max(log_probs[idx:]), linear in each count; runs of children under
     log(alpha)*(1 + 1e-9), a margin far above rounding, are cut.  Kept classes
     take the full walk's float steps and fsum rounds exactly: bit-identical."""
@@ -116,25 +118,22 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
     log_alpha = math.log(alpha)
     cut = log_alpha * (1.0 + 1e-9)
     lgam = math.lgamma
-    terms: list[float] = []
-
-    def visit(idx: int, remaining: int, log_class: float, log_mult: float) -> None:
-        if idx == k - 1:
-            log_class += remaining * log_probs[idx]
-            if log_class > log_alpha:
-                log_mult -= lgam(remaining + 1)
-                terms.append(
-                    math.exp(log_mult + log_class) * (-math.expm1(log_alpha - log_class))
-                )
-            return
-        lp, rest = log_probs[idx], best[idx + 1]
-        for c in range(remaining, -1, -1) if lp >= rest else range(remaining + 1):
-            child = log_class + c * lp
-            if child + (remaining - c) * rest < cut:
-                break  # the bound only falls from here on
-            visit(idx + 1, remaining - c, child, log_mult - lgam(c + 1))
-
-    visit(0, n, 0.0, lgam(n + 1))
+    frontier = [(n, 0.0, lgam(n + 1))]
+    for lp, rest in zip(log_probs[:-1], best[1:]):
+        kept = []
+        for remaining, log_class, log_mult in frontier:
+            for c in range(remaining, -1, -1) if lp >= rest else range(remaining + 1):
+                child = log_class + c * lp
+                if child + (remaining - c) * rest < cut:
+                    break  # the bound only falls from here on
+                kept.append((remaining - c, child, log_mult - lgam(c + 1)))
+        frontier = kept
+    terms = []
+    for remaining, log_class, log_mult in frontier:
+        log_class += remaining * log_probs[-1]
+        if log_class > log_alpha:
+            log_mult -= lgam(remaining + 1)
+            terms.append(math.exp(log_mult + log_class) * (-math.expm1(log_alpha - log_class)))
     return math.fsum(terms)
 
 

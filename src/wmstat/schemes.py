@@ -27,9 +27,10 @@ the only region description (``meta``) a generation hands on.  Per-key
 ``generate``/``detect`` are the batch of one and the error estimates run
 fixed-size blocks of trials.  A batch draws each stream domain's uniforms,
 and the estimates their trial keys and null text, for all its paths at once
-(``streams.substream_uniforms``/``substream_keys``); soft red list partitions
-and ITS permutations and resamples take one ``substream`` per key.  Every
-result is bit-identical to running one key and one token at a time.
+(``streams.substream_uniforms``/``substream_keys``), and soft red list
+partitions and ITS permutations and resamples come from the block's
+generators (``streams.substreams``).  Every result is bit-identical to
+running one key and one token at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import numpy as np
 from .dist import _check_alpha
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.sample
 from .lm import ToyLM, inverse_cdf
-from .streams import map_trials, substream, substream_keys, substream_uniforms
+from .streams import map_trials, substream_keys, substream_uniforms, substreams
+from .streams import substream  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.substream
 
 # stream domains hanging off a watermark key
 _D_PROVIDER = 0  # generation-side draws a detector never recomputes
@@ -209,16 +211,14 @@ class SoftRedList(_Scheme):
 
     name = "soft-red-list"
 
-    def _green_masks(self, key: WatermarkKey, n: int) -> np.ndarray:
-        vocab, g = self.cfg.vocab_size, self.cfg.green_size
-        rng = substream(key.seed, _D_PARTITION)
-        perms = rng.permuted(np.tile(np.arange(vocab), (n, 1)), axis=1)
-        masks = np.zeros((n, vocab), dtype=bool)
-        np.put_along_axis(masks, perms[:, :g], True, axis=1)
-        return masks
-
     def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
-        return np.stack([self._green_masks(key, n) for key in keys])
+        """Each key's green masks ``[n, V]``: the first g entries of a keyed shuffle per position."""
+        tiled = np.tile(np.arange(self.cfg.vocab_size), (n, 1))
+        gens = substreams([key.seed for key in keys], (_D_PARTITION,))
+        perms = np.array([rng.permuted(tiled, axis=1) for rng in gens])
+        masks = np.zeros(perms.shape, dtype=bool)
+        np.put_along_axis(masks, perms[..., : self.cfg.green_size], True, axis=2)
+        return masks
 
     def sample(self, lm: ToyLM, keys, masks: np.ndarray):
         cfg = self.cfg
@@ -391,17 +391,19 @@ class InverseTransform(_Scheme):
 
     name = "inverse-transform"
 
-    def _with_resamples(self, key: WatermarkKey, us: np.ndarray, perm: np.ndarray):
-        """Uniforms ``[R+1, L]`` (the keyed draw, then its resamples) and each token's rank."""
+    def _with_resamples(self, rng: np.random.Generator, us: np.ndarray, perm: np.ndarray):
+        """Uniforms ``[R+1, L]`` (the keyed draw, then its resamples from the
+        key's resample stream ``rng``) and each token's rank."""
         cfg = self.cfg
-        resampled = substream(key.seed, _D_ITS_RESAMPLE).random((cfg.resamples, len(us)))
+        resampled = rng.random((cfg.resamples, len(us)))
         u_all = np.concatenate([us[None, :], resampled], axis=0)
         return u_all, np.argsort(perm) / max(cfg.vocab_size - 1, 1)
 
     def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Each key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
-        perms = [substream(key.seed, _D_ITS_PI).permutation(self.cfg.vocab_size) for key in keys]
-        return substream_uniforms([key.seed for key in keys], (_D_ITS_U,), n), np.array(perms)
+        seeds = [key.seed for key in keys]
+        perms = [rng.permutation(self.cfg.vocab_size) for rng in substreams(seeds, (_D_ITS_PI,))]
+        return substream_uniforms(seeds, (_D_ITS_U,), n), np.array(perms)
 
     def sample(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray]):
         cfg = self.cfg
@@ -424,8 +426,9 @@ class InverseTransform(_Scheme):
         if length < cfg.block_k:
             raise ValueError(f"need at least {cfg.block_k} tokens, got {length}")
         p_values = np.empty(len(keys))
-        for i, (key, us, perm) in enumerate(zip(keys, *xi)):
-            phi = _alignment_phi(*self._with_resamples(key, us, perm), tokens[i], cfg.block_k - 1)
+        resample_gens = substreams([key.seed for key in keys], (_D_ITS_RESAMPLE,))
+        for i, (rng, us, perm) in enumerate(zip(resample_gens, *xi)):
+            phi = _alignment_phi(*self._with_resamples(rng, us, perm), tokens[i], cfg.block_k - 1)
             p_values[i] = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
         return p_values, p_values <= cfg.target_alpha
 

@@ -6,16 +6,14 @@ generator, ``substream(seed, *path)``.  This models a shared secret key on
 both the generation and detection sides, and makes every Monte Carlo
 experiment reproducible: each logical unit of work owns its own stream.
 
-``substream_uniforms`` and ``substream_keys`` are the batched twins for a
-block of paths: row r of their result is bit for bit what
-``substream(seed_r, *path_r)`` gives for ``.random(n)`` and
-``.integers(1 << 62)``.  They run numpy's two fixed integer algorithms over
-the whole block with array arithmetic (``_bitgen``): the ``SeedSequence``
-hash of the seed and path words into a pool of four uint32 words, and PCG64
-seeding, its 128-bit LCG and its XSL-RR output, where ``random()`` is
-``(next_uint64 >> 11) * 2**-53``.  Below ``SMALL_BATCH`` paths they call
-``substream`` row by row, which costs less there; ``_bitgen`` is imported on
-the first larger batch, so code that never draws one never compiles it.
+``substreams`` builds the generators of a whole block of paths at once: row r
+is ``substream(seed_r, *path_r)``, state for state.  It runs numpy's
+``SeedSequence`` hash over the block with array arithmetic (``_bitgen``,
+imported on the first block, so code that never builds one never compiles
+it) and lets numpy seed a ``PCG64`` from each row's words, so every draw is
+numpy's own.  ``substream_uniforms`` and ``substream_keys`` are its
+``.random(n)`` and ``.integers(1 << 62)`` rows as arrays; every batched
+keyed draw of the package comes from ``substreams``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import Callable, TypeVar
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-SMALL_BATCH = 16  # below this many paths the twins loop over substream (measured crossover)
 
 T = TypeVar("T")
 
@@ -60,35 +57,30 @@ def _paths(seeds, path) -> tuple[np.ndarray, list[np.ndarray]]:
     return seeds, cols
 
 
-def substream_uniforms(seeds, path, n: int) -> np.ndarray:
-    """``[B, n]`` uniforms; row r is ``substream(seeds[r], *path[:][r]).random(n)``.
+def substreams(seeds, path) -> list[np.random.Generator]:
+    """One generator per path; row r is ``substream(seeds[r], *path[:][r])``.
 
     ``seeds`` and each entry of ``path`` are ints or ``[B]`` integer arrays;
     an int stands for B equal entries.  Entries are read modulo 2**64, as
     ``substream`` reads them.
     """
-    seeds, cols = _paths(seeds, path)
-    if len(seeds) < SMALL_BATCH:
-        rows = [substream(*map(int, row)).random(n) for row in zip(seeds, *cols)]
-        return np.array(rows, dtype=np.float64).reshape(len(seeds), n)
     from . import _bitgen  # compiled on the first batch, not when the package is imported
 
-    return _bitgen.uniforms(seeds, cols, n)
+    return _bitgen.generators(*_paths(seeds, path))
+
+
+def substream_uniforms(seeds, path, n: int) -> np.ndarray:
+    """``[B, n]`` uniforms; row r is ``substream(seeds[r], *path[:][r]).random(n)``."""
+    gens = substreams(seeds, path)
+    out = np.empty((len(gens), n))
+    for gen, row in zip(gens, out):
+        gen.random(out=row)
+    return out
 
 
 def substream_keys(seeds, path) -> np.ndarray:
-    """``[B]`` int64 keys; entry r is ``substream(seeds[r], *path[:][r]).integers(1 << 62)``.
-
-    For a power-of-two range numpy's bounded integers never reject, so a key
-    is the first ``next_uint64`` shifted right by 2.
-    """
-    seeds, cols = _paths(seeds, path)
-    if len(seeds) < SMALL_BATCH:
-        keys = [substream(*map(int, row)).integers(1 << 62) for row in zip(seeds, *cols)]
-        return np.array(keys, dtype=np.int64).reshape(len(seeds))
-    from . import _bitgen
-
-    return _bitgen.keys(seeds, cols)
+    """``[B]`` int64 keys; entry r is ``substream(seeds[r], *path[:][r]).integers(1 << 62)``."""
+    return np.array([gen.integers(1 << 62) for gen in substreams(seeds, path)], dtype=np.int64)
 
 
 def map_trials(fn: Callable[[int], T], n_trials: int) -> list[T]:

@@ -8,10 +8,10 @@ exhaustive LP with the library's simplex (itself checked against
 ``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
 input with ``integrality_check``, ``srl_type1_exact`` takes the detector's
 threshold from ``binomial_reject_threshold``, and the per-token scheme loops
-take their stream domains, green masks and ITS resamples from the schemes
-themselves.
-The loops draw every keyed stream, trial keys included, from one
-``substream`` per key, where the schemes use the batched twins.
+take their stream domains from the schemes.
+The loops draw every keyed stream, trial keys, green masks and ITS resamples
+included, from one ``substream`` per key, where the schemes draw a block's
+streams through ``substreams``.
 """
 
 from __future__ import annotations
@@ -364,9 +364,20 @@ def its_token(mu, u: float, perm: np.ndarray) -> int:
     return int(perm[min(idx, len(perm) - 1)])
 
 
+def green_masks(scheme, key, n: int) -> np.ndarray:
+    """``[n, V]``: position i marks the first g tokens of the key's i-th partition shuffle."""
+    cfg = scheme.cfg
+    tiled = np.tile(np.arange(cfg.vocab_size), (n, 1))
+    perms = substream(key.seed, sch._D_PARTITION).permuted(tiled, axis=1)
+    masks = np.zeros((n, cfg.vocab_size), dtype=bool)
+    for i in range(n):
+        masks[i, perms[i, : cfg.green_size]] = True
+    return masks
+
+
 def srl_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], None]:
     cfg = scheme.cfg
-    masks = scheme._green_masks(key, cfg.n)
+    masks = green_masks(scheme, key, cfg.n)
     boost = math.exp(cfg.delta)
     rng = substream(key.seed, sch._D_PROVIDER)
     tokens = []
@@ -385,7 +396,7 @@ def srl_detect_loop(scheme, lm, key, tokens, meta=None) -> tuple[float, bool]:
     n = len(tokens)
     green = 0
     if n:
-        masks = scheme._green_masks(key, n)
+        masks = green_masks(scheme, key, n)
         green = int(masks[np.arange(n), np.asarray(tokens)].sum())
     threshold = sch.binomial_reject_threshold(n, cfg.green_size, cfg.vocab_size, cfg.target_alpha)
     return float(green), green >= threshold
@@ -429,6 +440,17 @@ def its_xi(scheme, key, n: int) -> tuple[np.ndarray, np.ndarray]:
     return us, substream(key.seed, sch._D_ITS_PI).permutation(scheme.cfg.vocab_size)
 
 
+def its_alignment_inputs(scheme, key, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key's n ITS uniforms then its resamples, ``[R+1, n]``, and each token's rank in [0, 1]."""
+    vocab = scheme.cfg.vocab_size
+    us, perm = its_xi(scheme, key, n)
+    resampled = substream(key.seed, sch._D_ITS_RESAMPLE).random((scheme.cfg.resamples, n))
+    rank = np.empty(vocab)
+    for r, tok in enumerate(perm):
+        rank[tok] = r / max(vocab - 1, 1)
+    return np.vstack([us, resampled]), rank
+
+
 def its_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], None]:
     us, perm = its_xi(scheme, key, scheme.cfg.n)
     tokens = []
@@ -455,7 +477,7 @@ def its_detect_loop(scheme, lm, key, tokens, meta=None) -> tuple[float, bool]:
     cfg = scheme.cfg
     tokens = np.asarray(tuple(tokens))
     length = len(tokens)
-    u_all, rank_all = scheme._with_resamples(key, *its_xi(scheme, key, length))
+    u_all, rank_all = its_alignment_inputs(scheme, key, length)
     phi = alignment_phi_tensor(u_all, rank_all, tokens, cfg.block_k - 1)
     p_value = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
     return p_value, p_value <= cfg.target_alpha

@@ -156,6 +156,14 @@ class TestPrunedCountVectors:
         assert value > 0.0
         assert calls < 100  # the full walk visits 501 501 classes
 
+    def test_wide_support_walks_without_recursion(self):
+        # one token, every outcome 1/k > alpha = 0.5/k: beta = k*(1/k - alpha) = 0.5;
+        # a walk that recursed once per outcome died past about 1000 outcomes
+        narrow = type2_product_exact(DiscreteDist.uniform(900), 1, 0.5 / 900)
+        wide = type2_product_exact(DiscreteDist.uniform(1100), 1, 0.5 / 1100)
+        assert narrow == pytest.approx(0.5, rel=1e-12)
+        assert wide == pytest.approx(narrow, rel=1e-12)
+
 
 class TestMonteCarloProduct:
     def test_point_mass_exact(self):

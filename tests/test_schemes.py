@@ -107,7 +107,7 @@ class TestSoftRedList:
         for t in range(400):
             key = WatermarkKey(700 + t)
             run = scheme.generate(lm, key)
-            masks = scheme._green_masks(key, 50)
+            masks = oracles.green_masks(scheme, key, 50)
             greens += int(masks[np.arange(50), np.asarray(run.tokens)].sum())
             total += 50
         freq = greens / total
@@ -527,7 +527,7 @@ class TestBatchedEngine:
             scheme = InverseTransform(cfg)
             key = WatermarkKey(seed=n * 31 + window)
             tokens = np.array(lm.sample_sequence(n, substream(23, n)))
-            u_all, rank_all = scheme._with_resamples(key, *oracles.its_xi(scheme, key, n))
+            u_all, rank_all = oracles.its_alignment_inputs(scheme, key, n)
             assert rank_all.shape == (vocab,)
             if batched:
                 got = _alignment_phi(u_all, rank_all, tokens, window)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wmstat.streams import SMALL_BATCH, substream, substream_keys, substream_uniforms
+from wmstat import _bitgen
+from wmstat.streams import substream, substream_keys, substream_uniforms, substreams
 
 EDGE = [0, 2**32 - 1, 2**32, 2**62, 2**64 - 1]
 ROWS = 2500  # per path length: 10**4 rows over the four lengths
@@ -81,11 +82,46 @@ def test_int_lists_read_modulo_2_64(count):
     assert substream_keys(seeds, path).tolist() == reference_keys(seeds, path, count)
 
 
-@pytest.mark.parametrize("count", [0, 1, SMALL_BATCH - 1, SMALL_BATCH, SMALL_BATCH + 1])
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17])
 def test_every_batch_size(count):
-    # below SMALL_BATCH the twins call substream row by row; both sides agree
     seeds = np.arange(count, dtype=np.uint64) + np.uint64(2**40)
     path = (3, np.arange(count) * 2**31)
     for n in (0, 1, 5):
         assert_same_bits(substream_uniforms(seeds, path, n), reference_uniforms(seeds, path, count, n))
     assert substream_keys(seeds, path).tolist() == reference_keys(seeds, path, count)
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 1000])
+def test_substreams_match_substream(count):
+    # every Generator method numpy runs on the stream, drawn in sequence, so
+    # each draw also checks the state the one before it left
+    rng = np.random.default_rng(30 + count)
+    seeds = words(rng, count)
+    path = (words(rng, count), rng.integers(0, 8, size=count), 2**64 - 1)
+    gens = substreams(seeds, path)
+    assert len(gens) == count
+    vocab, length = 7, 5
+    tiled = np.tile(np.arange(vocab), (length, 1))
+    for gen, row in zip(gens, rows_of(seeds, path, count)):
+        want = substream(*row)
+        assert_same_bits(gen.random((3, length)), want.random((3, length)))
+        assert np.array_equal(gen.permutation(vocab), want.permutation(vocab))
+        assert np.array_equal(gen.permuted(tiled, axis=1), want.permuted(tiled, axis=1))
+        assert gen.integers(1 << 62) == want.integers(1 << 62)
+
+
+def test_substreams_rows_are_independent():
+    gens = substreams(77, (3, np.arange(4)))
+    assert len({id(gen.bit_generator) for gen in gens}) == 4
+    gens[0].random(1000)
+    gens[2].permutation(50)
+    for t in (1, 3):
+        assert_same_bits(gens[t].random(5), substream(77, 3, t).random(5))
+
+
+def test_precomputed_state_serves_only_pcg64_seeding():
+    state = _bitgen._State(np.zeros(4, dtype=np.uint64))
+    assert state.generate_state(4, np.uint64) is state.words
+    for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError):
+            state.generate_state(*request)
