@@ -62,18 +62,7 @@ def fmt(value) -> str:
 
 
 def _parse_probs(text: str) -> tuple[float, ...]:
-    try:
-        probs = tuple(float(tok) for tok in text.split(","))
-    except ValueError as err:
-        raise ConfigError(f"cannot parse probability list {text!r}: {err}") from None
-    return probs
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"cannot parse fraction {text!r}: {err}") from None
+    return tuple(float(tok) for tok in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -238,7 +227,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         header=("instance", "loss", "gamma", "surplus", "budget", "strassen_ok"),
         params=(
             Param("n", int, 8, "outcome count"),
-            Param("alpha", _parse_fraction, Fraction(1, 4), "level (rational)"),
+            Param("alpha", Fraction, Fraction(1, 4), "level (rational)"),
             Param("instances", int, 20, "random distributions to couple"),
         ),
         run=_run_agnostic,
@@ -348,9 +337,7 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         p = known[key]
         try:
             params[key] = p.parse(text)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, ZeroDivisionError) as err:
             raise ConfigError(f"bad value for key '{key}': {err}") from None
     for p in spec.params:
         if p.name not in params:

@@ -20,7 +20,7 @@ import numpy as np
 from .dist import LN2, DiscreteDist, ResourceLimit, _check_alpha, inv_binary_entropy, sample_many
 from .streams import substream
 
-MAX_COUNT_CLASSES = 2_000_000
+MAX_WALK_PREFIXES = 2_000_000
 MC_BLOCK = 1 << 14
 
 
@@ -105,20 +105,15 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
     log-probability lc with r tokens left completes to at most
     lc + r*max(log_probs[idx:]), linear in each count; runs of children under
     log(alpha)*(1 + 1e-9), a margin far above rounding, are cut.  Kept classes
-    take the full walk's float steps and fsum rounds exactly: bit-identical."""
-    k = len(probs)
-    n_classes = math.comb(n + k - 1, k - 1)
-    if n_classes > MAX_COUNT_CLASSES:
-        raise ResourceLimit(
-            f"{n_classes} count-vector classes exceed the exact-path cap "
-            f"{MAX_COUNT_CLASSES}; too large, use the Monte Carlo estimator"
-        )
+    take the full walk's float steps and fsum rounds exactly: bit-identical.
+    More than ``MAX_WALK_PREFIXES`` kept prefixes in all raise ``ResourceLimit``."""
     log_probs = [math.log(p) for p in probs]
     best = np.maximum.accumulate(log_probs[::-1])[::-1].tolist()  # suffix maxima
     log_alpha = math.log(alpha)
     cut = log_alpha * (1.0 + 1e-9)
     lgam = math.lgamma
     frontier = [(n, 0.0, lgam(n + 1))]
+    budget = MAX_WALK_PREFIXES  # prefixes the walk may still keep
     for lp, rest in zip(log_probs[:-1], best[1:]):
         kept = []
         for remaining, log_class, log_mult in frontier:
@@ -127,6 +122,12 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
                 if child + (remaining - c) * rest < cut:
                     break  # the bound only falls from here on
                 kept.append((remaining - c, child, log_mult - lgam(c + 1)))
+            if len(kept) > budget:
+                raise ResourceLimit(
+                    f"the exact count-vector walk kept more than {MAX_WALK_PREFIXES} "
+                    "prefixes; too large, use the Monte Carlo estimator"
+                )
+        budget -= len(kept)
         frontier = kept
     terms = []
     for remaining, log_class, log_mult in frontier:

@@ -378,11 +378,9 @@ def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray,
     for b in range(length):
         prefix = ring[b % (window + 1)]
         np.add(ring[(b - 1) % (window + 1)], costs[token_row[b], b : b + length], out=prefix)
-        if b >= window:
+        if b >= window - 1:  # at b = window - 1 the slot read is the zero prefix
             np.subtract(prefix, ring[(b - window) % (window + 1)], out=diff)
             np.minimum(best, diff, out=best)
-        elif b == window - 1:
-            np.minimum(best, prefix, out=best)
     return best.min(axis=0)
 
 

@@ -8,11 +8,13 @@ lower bound, or an upper bound that is infinite or negative.  On this family
 the all-slack basis is feasible and the box bounds the optimum, so a single
 phase of pivoting from the slack basis always ends at an optimal vertex.
 
-Each upper bound is one more ``<=`` row of the tableau.  Bland's rule
-(first improving column; minimum ratio with ties to the smallest basis index)
-ends cycling, and the returned point passes a residual check.  The same
-whole-array tableau code runs in float mode (numpy float64, 1e-9 tolerances)
-and in exact mode (``Fraction`` entries in an object array, zero tolerance).
+Each upper bound is one more ``<=`` row of the tableau, and the objective's
+reduced costs are its last row, so a pivot is one whole-array update of
+every row the entering column touches.  Bland's rule (first improving
+column; minimum ratio with ties to the smallest basis index) ends cycling,
+and the returned point passes a residual check.  The same tableau code runs
+in float mode (numpy float64, 1e-9 tolerances) and in exact mode
+(``Fraction`` entries in an object array, zero tolerance).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class LpSolution:
 
 def _leaving_row(tableau, basis, col: int, tol) -> int:
     """Minimum-ratio row for entering column ``col``; ties go to the smallest basis index."""
-    rows = np.flatnonzero(tableau[:, col] > tol)
+    rows = np.flatnonzero(tableau[:-1, col] > tol)
     if not len(rows):
         raise AssertionError(f"no leaving row for column {col}: the box bounds every LpProblem")
     ratios = tableau[rows, -1] / tableau[rows, col]
@@ -78,15 +80,12 @@ def _leaving_row(tableau, basis, col: int, tol) -> int:
     return ties[np.argmin(basis[ties])]
 
 
-def _pivot(tableau, zrow, basis, row: int, col: int) -> None:
-    """Divide the pivot row, then clear ``col`` from every other row in place."""
+def _pivot(tableau, basis, row: int, col: int) -> None:
+    """Divide the pivot row, then clear ``col`` from every other row, objective included."""
     tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row]
-    for i in np.flatnonzero(tableau[:, col]).tolist():
-        if i != row:
-            tableau[i] -= tableau[i, col] * pivot_row
-    if zrow[col] != 0:
-        zrow -= zrow[col] * pivot_row
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    tableau[rows] -= np.outer(tableau[rows, col], tableau[row])
     basis[row] = col
 
 
@@ -108,25 +107,25 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     n_rows = len(a)
     m = n_rows + n  # the constraints, then one x_j <= hi_j row per variable
 
-    # columns: the variables, one slack per row, the right-hand side
-    tableau = np.zeros((m, n + m + 1), dtype=dtype)
+    # columns: the variables, one slack per row, the right-hand side;
+    # rows: the m constraint rows, then the objective's reduced costs
+    tableau = np.zeros((m + 1, n + m + 1), dtype=dtype)
     tableau[:n_rows, :n] = a
     tableau[n_rows + np.arange(n), np.arange(n)] = number(1)
     tableau[np.arange(m), n + np.arange(m)] = number(1)
-    tableau[:, -1] = np.concatenate([b, hi])
-    zrow = np.zeros(n + m + 1, dtype=dtype)
-    zrow[:n] = [-number(c) for c in problem.objective]
+    tableau[:m, -1] = np.concatenate([b, hi])
+    tableau[m, :n] = [-number(c) for c in problem.objective]
     basis = np.arange(n, n + m)
 
     while True:
-        improving = np.flatnonzero(zrow[:-1] < -tol)
+        improving = np.flatnonzero(tableau[m, :-1] < -tol)
         if not len(improving):
             break
         col = improving[0]
-        _pivot(tableau, zrow, basis, _leaving_row(tableau, basis, col, tol), col)
+        _pivot(tableau, basis, _leaving_row(tableau, basis, col, tol), col)
 
     y = np.full(n + m, number(0), dtype=dtype)
-    y[basis] = tableau[:, -1]
+    y[basis] = tableau[:m, -1]
     x = y[:n]
     if (x < -tol).any() or (x > hi + tol).any():
         raise AssertionError("solution violates its bounds")

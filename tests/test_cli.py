@@ -40,9 +40,19 @@ class TestConfigParsing:
         assert main(["rates", "--h", "0.1"]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_bad_value_names_key(self, capsys):
-        assert main(["rates", "--n_max", "many", "--seed", "1"]) == 2
-        assert "n_max" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["rates", "--n_max", "many"], "n_max"),
+            (["ump", "--rho", "0.5,x"], "rho"),
+            (["robust", "--rho", "0.5,,0.5"], "rho"),
+            (["agnostic", "--alpha", "1/0"], "alpha"),
+        ],
+        ids=["rates-n_max", "ump-rho", "robust-rho-empty-entry", "agnostic-alpha-zero-denominator"],
+    )
+    def test_bad_value_names_key(self, capsys, argv, key):
+        assert main(argv + ["--seed", "1"]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import beta_count_vectors_full, random_dist, type2_product_rational
-from wmstat.dist import LN2, DiscreteDist, entropy
+from wmstat import rates
+from wmstat.dist import LN2, DiscreteDist, ResourceLimit, entropy
 from wmstat.rates import (
     RateBounds,
     RateCurve,
@@ -65,10 +66,39 @@ class TestExactProduct:
         values = [type2_product_exact(rho, 6, a) for a in np.linspace(0.01, 0.9, 25)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_class_count_overflow(self):
-        rho = DiscreteDist.uniform(12)
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            type2_product_exact(rho, 50, 0.01)
+    def test_class_count_overflow(self, monkeypatch):
+        # every class of uniform(12) at n=20 has probability 12^-20 > alpha, so
+        # the walk would keep all C(31, 11) = 84 672 315 of them
+        monkeypatch.setattr(rates, "MAX_WALK_PREFIXES", 10_000)
+        with pytest.raises(ResourceLimit, match="Monte Carlo"):
+            type2_product_exact(DiscreteDist.uniform(12), 20, 1e-30)
+
+    def test_walk_budget_counts_kept_prefixes(self, monkeypatch):
+        # uniform(3), n=4, every class above alpha: 5 prefixes after the first
+        # outcome, then the 15 classes, 20 kept in all
+        rho = DiscreteDist.uniform(3)
+        monkeypatch.setattr(rates, "MAX_WALK_PREFIXES", 20)
+        assert type2_product_exact(rho, 4, 1e-6) > 0.0
+        monkeypatch.setattr(rates, "MAX_WALK_PREFIXES", 19)
+        with pytest.raises(ResourceLimit):
+            type2_product_exact(rho, 4, 1e-6)
+
+    def test_many_classes_few_above_alpha(self):
+        # C(61, 11) classes, none above alpha: the walk cuts at the root
+        assert type2_product_exact(DiscreteDist.uniform(12), 50, 0.01) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.01, 1e-4])
+    def test_major_outcome_matches_lumped_closed_form(self, alpha):
+        # one outcome at 0.99 and 11 equal minor ones: a class's probability
+        # depends only on the minor count j, so the classes lump binomially
+        # (0.59500606... at alpha = 0.01)
+        n, p, q = 50, 0.99, 0.01 / 11
+        got = type2_product_exact(DiscreteDist(probs=(p,) + (q,) * 11), n, alpha)
+        want = math.fsum(
+            math.comb(n, j) * 11**j * p ** (n - j) * q**j * max(0.0, 1 - alpha / (p ** (n - j) * q**j))
+            for j in range(n + 1)
+        )
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
