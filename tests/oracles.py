@@ -2,9 +2,11 @@
 
 Everything here is deliberately brute force: Pascal's recurrence, exhaustive
 vertex enumeration, grid search over perturbation balls, pairwise Hamming
-scans, exact-rational re-summation, one-token-at-a-time samplers.  None of it
-shares code paths with the library, except that ``ump_oracle`` solves its
-exhaustive LP with the library's simplex (itself checked against
+scans, exact-rational re-summation, one-token-at-a-time samplers, a max-flow
+search that scans until it dequeues a node next to the sink.  None of it
+shares code paths with the library, except that ``max_flow_fifo`` works on a
+``FlowNetwork``'s edge lists with the library's float cutoff, ``ump_oracle``
+solves its exhaustive LP with the library's simplex (itself checked against
 ``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
 input with ``integrality_check``, ``srl_type1_exact`` takes the detector's
 threshold from ``binomial_reject_threshold``, and the per-token scheme loops
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from wmstat import schemes as sch
 from wmstat.agnostic import integrality_check
 from wmstat.dist import DiscreteDist, ResourceLimit, sample
+from wmstat.flow import FLOAT_CUTOFF, FlowNetwork
 from wmstat.lm import ToyLM
 from wmstat.simplex import LpProblem, simplex_solve
 from wmstat.streams import substream
@@ -313,6 +317,41 @@ def random_dist(rng: np.random.Generator, k: int, spread: float = 1.0):
     w = rng.dirichlet(np.full(k, spread))
     w = w / w.sum()
     return tuple(float(v) for v in w)
+
+
+def max_flow_fifo(net: FlowNetwork, source: int, sink: int):
+    """Edmonds-Karp on ``net`` in place, each search stopping when it dequeues
+    a node that reaches the sink: the path-by-path reference for
+    ``FlowNetwork.max_flow``, comparing capacities in the scan itself."""
+    exact = not any(isinstance(c, float) for c in net.cap)
+    eps = 0 if exact else FLOAT_CUTOFF
+    total = 0
+    while True:
+        parent_edge = [-1] * net.n_nodes
+        parent_edge[source] = -2
+        queue = deque([source])
+        while queue and parent_edge[sink] == -1:
+            u = queue.popleft()
+            for eid in net.adj[u]:
+                v = net.to[eid]
+                if parent_edge[v] == -1 and net.cap[eid] > eps:
+                    parent_edge[v] = eid
+                    queue.append(v)
+        if parent_edge[sink] == -1:
+            return total
+        bottleneck = None
+        v = sink
+        while v != source:
+            eid = parent_edge[v]
+            bottleneck = net.cap[eid] if bottleneck is None else min(bottleneck, net.cap[eid])
+            v = net.to[eid ^ 1]
+        v = sink
+        while v != source:
+            eid = parent_edge[v]
+            net.cap[eid] -= bottleneck
+            net.cap[eid ^ 1] += bottleneck
+            v = net.to[eid ^ 1]
+        total += bottleneck
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from wmstat.agnostic import (
     strassen_condition_holds,
     worst_set_gap,
 )
-from wmstat.dist import DiscreteDist
+from wmstat.dist import DiscreteDist, ResourceLimit
 from wmstat.streams import substream
 from wmstat.ump import clipped_surplus, type1_exact, type2_exact
 
@@ -192,7 +192,7 @@ class TestCouplingConstruction:
         assert loss == pytest.approx(3 / 14, abs=1e-9)
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimit):
             build_agnostic_coupling(
                 DiscreteDist.uniform(40), UniformRegionLaw(n=40, region_size=10)
             )

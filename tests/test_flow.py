@@ -1,7 +1,12 @@
+import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import max_flow_fifo, random_dist
+from wmstat.agnostic import UniformRegionLaw, build_agnostic_coupling
+from wmstat.dist import DiscreteDist
 from wmstat.flow import FlowNetwork
 
 
@@ -57,7 +62,135 @@ def test_disconnected():
     assert net.max_flow(0, 3) == 0
 
 
+def _state(net: FlowNetwork):
+    return (list(net.to), list(net.cap), [list(edges) for edges in net.adj])
+
+
+@pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (-1, 1), (1, -1), (0.5, 1), ("0", 1)])
+def test_bad_node_rejected_before_any_change(u, v):
+    net = FlowNetwork(n_nodes=2)
+    net.add_edge(0, 1, 1.0)
+    before = _state(net)
+    with pytest.raises(ValueError, match="node id"):
+        net.add_edge(u, v, 1.0)
+    assert _state(net) == before
+
+
 def test_negative_capacity_rejected():
     net = FlowNetwork(n_nodes=2)
     with pytest.raises(ValueError):
         net.add_edge(0, 1, -1.0)
+    assert _state(net) == ([], [], [[], []])
+
+
+@pytest.mark.parametrize("source, sink, bad", [(0, 2, "2"), (-1, 1, "-1"), (0, 7, "7")])
+def test_max_flow_rejects_out_of_range_node(source, sink, bad):
+    net = FlowNetwork(n_nodes=2)
+    net.add_edge(0, 1, 1.0)
+    with pytest.raises(ValueError, match=f"node id {bad} outside 0..1"):
+        net.max_flow(source, sink)
+
+
+def test_max_flow_rejects_source_equal_to_sink():
+    net = FlowNetwork(n_nodes=2)
+    net.add_edge(0, 1, 1.0)
+    with pytest.raises(ValueError, match="both node 1"):
+        net.max_flow(1, 1)
+    assert net.cap == [1.0, 0.0]
+
+
+# -- path identity against the dequeue-time FIFO scan
+
+
+def _bits(x):
+    """A value's type and exact value: bit pattern for floats, == for rationals."""
+    return type(x).__name__, float.hex(x) if isinstance(x, float) else x
+
+
+def _assert_same_paths(net: FlowNetwork, source: int, sink: int):
+    """Run ``max_flow`` and the FIFO oracle on twin copies; same total, same residuals."""
+    twin = copy.deepcopy(net)
+    total = net.max_flow(source, sink)
+    assert _bits(total) == _bits(max_flow_fifo(twin, source, sink))
+    assert [_bits(c) for c in net.cap] == [_bits(c) for c in twin.cap]
+    return total
+
+
+@pytest.mark.parametrize("n, m", [(8, 2), (8, 4), (12, 3), (10, 5)])
+@pytest.mark.parametrize("rho_kind", [0.2, 1.0, 5.0, "fraction"])
+def test_agnostic_networks_match_fifo(monkeypatch, n, m, rho_kind):
+    rng = np.random.default_rng([n, m, 0 if rho_kind == "fraction" else int(rho_kind * 10)])
+    if rho_kind == "fraction":
+        weights = [int(w) for w in rng.integers(0, 20, size=n)]
+        weights[0] += 1
+        rho = DiscreteDist(probs=tuple(Fraction(w, sum(weights)) for w in weights))
+    else:
+        rho = DiscreteDist(probs=random_dist(rng, n, rho_kind))
+    totals = []
+    real = FlowNetwork.max_flow
+
+    def checked(net, source, sink):
+        monkeypatch.setattr(FlowNetwork, "max_flow", real)
+        totals.append(_assert_same_paths(net, source, sink))
+        return totals[-1]
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", checked)
+    build_agnostic_coupling(rho, UniformRegionLaw(n=n, region_size=m))
+    assert len(totals) == 1
+    assert isinstance(totals[0], Fraction if rho_kind == "fraction" else float)
+
+
+def _random_network(rng: np.random.Generator, exact: bool):
+    """A small random digraph with the sink-side shapes the early stop must handle."""
+    n = int(rng.integers(3, 9))
+    source, sink = (int(x) for x in rng.choice(n, size=2, replace=False))
+
+    def capacity():
+        if rng.random() < 0.15:
+            return Fraction(0) if exact else 0.0
+        if exact:
+            return Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 5)))
+        return float(rng.random())
+
+    n_edges = int(rng.integers(n, 4 * n))
+    pairs = [tuple(int(x) for x in rng.integers(n, size=2)) for _ in range(n_edges)]
+    if rng.random() < 0.5:
+        pairs.append((source, sink))  # direct source -> sink edge
+    if rng.random() < 0.5:
+        u = int(rng.integers(n))
+        pairs += [(u, sink)] * int(rng.integers(2, 4))  # parallel edges into the sink
+    if rng.random() < 0.2:
+        pairs = [(u, v) for u, v in pairs if v != sink]  # sink unreachable
+    order = rng.permutation(len(pairs))
+    net = FlowNetwork(n_nodes=n)
+    for i in order:
+        net.add_edge(*pairs[i], capacity())
+    return net, source, sink
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_random_networks_match_fifo(exact):
+    rng = np.random.default_rng(2024 + exact)
+    zero_totals = 0
+    for _ in range(300):
+        net, source, sink = _random_network(rng, exact)
+        if _assert_same_paths(net, source, sink) == 0:
+            zero_totals += 1
+    assert zero_totals > 0  # some networks leave the sink unreachable
+
+
+@pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float", "exact"])
+def test_shapes_at_the_sink_match_fifo(one):
+    # source -> sink directly, a node with several (parallel) sink edges, a
+    # zero-capacity sink edge ahead of a live one, and an edge out of the sink
+    net = FlowNetwork(n_nodes=5)
+    net.add_edge(0, 1, one)
+    net.add_edge(1, 4, one * 0)
+    net.add_edge(1, 4, one / 3)
+    net.add_edge(1, 4, one / 3)
+    net.add_edge(0, 2, one)
+    net.add_edge(4, 2, one)
+    net.add_edge(2, 4, one / 2)
+    net.add_edge(0, 4, one / 5)
+    net.add_edge(3, 4, one)
+    assert _assert_same_paths(net, 0, 4) == pytest.approx(Fraction(41, 30))
