@@ -20,17 +20,21 @@ from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps w
 
 
 class ChainTables(NamedTuple):
-    """Per-row arrays of a ``ToyLM``, each ``[V+1, V]``.
+    """Per-row arrays of a ``ToyLM``: ``probs``, ``cdf`` and ``logp`` are ``[V+1, V]``.
 
     Row t is the law of the token after token t; row V, the initial law.  CDF
     rows are ``dist._cdf_of`` (last entry guarded up to 1) and log rows come
     from ``math.log``, so table lookups give the same bits as the per-token
-    calls on the ``DiscreteDist`` rows.
+    calls on the ``DiscreteDist`` rows.  ``breaks`` are the sorted distinct
+    CDF values, and ``draw[s, r]`` is the token row s yields for a uniform
+    with r breaks <= it, so that rank settles every CDF comparison.
     """
 
     probs: np.ndarray
     cdf: np.ndarray
     logp: np.ndarray
+    breaks: np.ndarray
+    draw: np.ndarray
 
 
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray, side: str) -> np.ndarray:
@@ -65,16 +69,18 @@ class ToyLM:
         rows = (*self.transitions, self.initial)
         probs = np.array([row.as_floats() for row in rows])
         logp = [[math.log(p) if p > 0.0 else -math.inf for p in row] for row in probs.tolist()]
-        return ChainTables(
-            probs=probs, cdf=np.array([_cdf_of(row.probs) for row in rows]), logp=np.array(logp)
-        )
+        cdf = np.array([_cdf_of(row.probs) for row in rows])
+        breaks = np.unique(cdf)
+        edges = np.concatenate([[-math.inf], breaks])  # rank 0: no CDF value <= u
+        draw = np.array([np.searchsorted(row, edges, side="right") for row in cdf])
+        return ChainTables(probs=probs, cdf=cdf, logp=np.array(logp), breaks=breaks, draw=draw)
 
     def paths(self, count: int, n: int, step: Callable[[int, np.ndarray], np.ndarray]):
         """``count`` token paths of length ``n`` as an int array ``[count, n]``.
 
-        The one Markov sampling loop: it walks the positions, vectorised
-        across paths.  ``step(j, prev)`` returns the tokens at position j of
-        every path from the tables row of the previous token (row V at j = 0).
+        The one Markov sampling loop, vectorised across paths: ``step(j, prev)``
+        returns the tokens at position j of every path from the tables row of
+        the previous token (row V at j = 0); in ``walk`` a step is one gather.
         """
         tokens = np.empty((count, n), dtype=np.int64)
         prev = np.full(count, self.vocab_size)
@@ -82,21 +88,24 @@ class ToyLM:
             prev = tokens[:, j] = step(j, prev)
         return tokens
 
+    def walk(self, draw: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """``paths`` whose token at position j is ``draw[prev, ranks[path, j]]``: one gather a step."""
+        return self.paths(len(ranks), ranks.shape[1], lambda j, prev: draw[prev, ranks[:, j]])
+
     def sample_paths(self, us: np.ndarray) -> np.ndarray:
-        """Model paths by inverse transform, one uniform ``us[path, j]`` per token."""
-        cdf = self.tables.cdf
+        """Model paths by inverse transform, one uniform ``us[path, j]`` per token, ranked up front."""
+        tables = self.tables
+        return self.walk(tables.draw, np.searchsorted(tables.breaks, us, side="right"))
 
-        def drawn(j: int, prev: np.ndarray) -> np.ndarray:
-            return inverse_cdf(cdf[prev], us[:, j], "right")
-
-        return self.paths(len(us), us.shape[1], drawn)
+    def step_logprobs(self, paths: np.ndarray) -> np.ndarray:
+        """``[count, n+1]``: 0.0, then each token's log-probability given the token before."""
+        count = len(paths)
+        prev = np.concatenate([np.full((count, 1), self.vocab_size), paths[:, :-1]], axis=1)
+        return np.concatenate([np.zeros((count, 1)), self.tables.logp[prev, paths]], axis=1)
 
     def logprobs(self, paths: np.ndarray) -> np.ndarray:
         """Log-probability of each path, added up position by position from 0.0."""
-        count = len(paths)
-        prev = np.concatenate([np.full((count, 1), self.vocab_size), paths[:, :-1]], axis=1)
-        terms = np.concatenate([np.zeros((count, 1)), self.tables.logp[prev, paths]], axis=1)
-        return np.add.accumulate(terms, axis=1)[:, -1]
+        return np.add.accumulate(self.step_logprobs(paths), axis=1)[:, -1]
 
     def sample_sequence(self, n: int, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(self.sample_paths(rng.random(n)[None, :])[0].tolist())

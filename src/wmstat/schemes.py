@@ -20,10 +20,12 @@ one protocol so their empirical Type I/II errors are directly comparable.
 
 Every scheme works on a batch of keys in three steps: ``keyed`` derives the
 draws a detector recomputes from each key, ``sample`` generates one token
-path per key through the model's one Markov sampler (``ToyLM.paths``), the
-scheme supplying only its per-position rule, and ``test`` detects.  A
-detector recomputes everything from the key except keyed binary's start index,
-the only region description (``meta``) a generation hands on.  Per-key
+path per key through the model's one Markov sampler (``ToyLM.paths``), and
+``test`` detects.  Soft red list and ITS supply a per-position rule; model
+draws, keyed binary's included, are ranked up front so that a step is one
+table gather (``ToyLM.walk``).  A detector recomputes everything from the key
+except keyed binary's start index, the only region description (``meta``) a
+generation hands on, and Type I trials compute only that.  Per-key
 ``generate``/``detect`` are the batch of one and the error estimates run
 fixed-size blocks of trials.  A batch draws each stream domain's uniforms,
 and the estimates their trial keys and null text, for all its paths at once
@@ -138,8 +140,9 @@ def erlang_upper_quantile(shape: int, alpha: float) -> float:
         raise ValueError(f"shape must be >= 1, got {shape}")
     log_alpha = math.log(alpha)
     lo, hi = 0.0, shape + 20.0 * math.sqrt(shape) + 50.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while _erlang_log_sf(shape, hi) > log_alpha:  # far tails lie past the first bracket
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _erlang_log_sf(shape, mid) > log_alpha:
             lo = mid
         else:
@@ -156,11 +159,15 @@ class _Scheme:
     ``[len(keys), cfg.n]`` and one meta per key (keyed binary's start index,
     None for the other schemes); and ``test(lm, keys, keyed, tokens, meta)``,
     the statistic and the reject flag per key for the token array ``tokens``.
-    ``detect`` rejects any token that is not an integer in 0..V-1.
+    ``meta(lm, keys, keyed)`` is ``sample``'s meta alone.  ``detect``
+    rejects any token that is not an integer in 0..V-1.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
+
+    def meta(self, lm: ToyLM, keys, keyed) -> list:
+        return [None] * len(keys)
 
     def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
         keys = [key]
@@ -213,6 +220,8 @@ class SoftRedList(_Scheme):
 
     def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
         """Each key's green masks ``[n, V]``: the first g entries of a keyed shuffle per position."""
+        if lm.vocab_size != self.cfg.vocab_size:
+            raise ValueError("config vocab size must match the model")
         tiled = np.tile(np.arange(self.cfg.vocab_size), (n, 1))
         gens = substreams([key.seed for key in keys], (_D_PARTITION,))
         perms = np.array([rng.permuted(tiled, axis=1) for rng in gens])
@@ -222,8 +231,6 @@ class SoftRedList(_Scheme):
 
     def sample(self, lm: ToyLM, keys, masks: np.ndarray):
         cfg = self.cfg
-        if lm.vocab_size != cfg.vocab_size:
-            raise ValueError("config vocab size must match the model")
         probs = lm.tables.probs
         boost = math.exp(cfg.delta)
         us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), cfg.n)
@@ -233,7 +240,7 @@ class SoftRedList(_Scheme):
             cdf = np.cumsum(np.where(masks[:, j], rows * boost, rows), axis=1)
             return np.minimum(inverse_cdf(cdf, us[:, j] * cdf[:, -1], "right"), cfg.vocab_size - 1)
 
-        return lm.paths(len(keys), cfg.n, boosted), [None] * len(keys)
+        return lm.paths(len(keys), cfg.n, boosted), self.meta(lm, keys, masks)
 
     def test(self, lm: ToyLM, keys, masks: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
@@ -275,31 +282,33 @@ class ChristBinary(_Scheme):
         """Keyed uniforms; the keyed token at position j uses draw j - start."""
         return substream_uniforms([key.seed for key in keys], (_D_CHRIST_U,), n)
 
-    def sample(self, lm: ToyLM, keys, us: np.ndarray):
+    def _unkeyed(self, lm: ToyLM, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's model ranks of its unkeyed draws and its start index: surprisal
+        accrued in position order never falls, so the keyed positions are a suffix."""
         if lm.vocab_size != 2:
             raise ValueError("this scheme needs a binary model")
-        cfg = self.cfg
         tables = lm.tables
-        # the unkeyed prefix is positions 0..start-1, so it uses draws 0..start-1
-        prefix_us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), cfg.n)
-        paths = np.arange(len(keys))
-        accrued = np.zeros(len(keys))
-        drawn = np.zeros(len(keys), dtype=np.int64)  # keyed draws used: j - start once keyed
+        prefix_us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), self.cfg.n)
+        ranks = np.searchsorted(tables.breaks, prefix_us, side="right")
+        accrued = np.subtract.accumulate(lm.step_logprobs(lm.walk(tables.draw, ranks)), axis=1)
+        return ranks, np.count_nonzero(accrued[:, :-1] < self.cfg.entropy_threshold, axis=1)
 
-        def budgeted(j: int, prev: np.ndarray) -> np.ndarray:
-            keyed = accrued >= cfg.entropy_threshold
-            tok = np.where(
-                keyed,
-                us[paths, drawn] <= tables.probs[prev, 1],
-                inverse_cdf(tables.cdf[prev], prefix_us[:, j], "right"),
-            )
-            # keyed paths subtract 0.0, which leaves every float as it is
-            np.subtract(accrued, np.where(keyed, 0.0, tables.logp[prev, tok]), out=accrued)
-            np.add(drawn, keyed, out=drawn)
-            return tok
+    def meta(self, lm: ToyLM, keys, us: np.ndarray) -> list:
+        return self._unkeyed(lm, keys)[1].tolist()
 
-        tokens = lm.paths(len(keys), cfg.n, budgeted)
-        return tokens, (cfg.n - drawn).tolist()  # the keyed positions are a suffix
+    def sample(self, lm: ToyLM, keys, us: np.ndarray):
+        """The prefix, then tokens ``u <= p1[prev]``, u ranked among the ``p1`` values
+        in draw-table columns after the model's."""
+        ranks, starts = self._unkeyed(lm, keys)
+        model_draw, p1 = lm.tables.draw, lm.tables.probs[:, 1]
+        levels = np.unique(p1)
+        # token 1 iff p1[prev] >= u iff fewer than its place in levels lie below u
+        keyed_draw = np.searchsorted(levels, p1)[:, None] >= np.arange(len(levels) + 1)
+        draw = np.concatenate([model_draw, keyed_draw], axis=1)
+        since = np.arange(self.cfg.n) - starts[:, None]  # keyed draws used before position j
+        keyed_u = np.take_along_axis(us, np.maximum(since, 0), axis=1)
+        keyed_ranks = model_draw.shape[1] + np.searchsorted(levels, keyed_u, side="left")
+        return lm.walk(draw, np.where(since >= 0, keyed_ranks, ranks)), starts.tolist()
 
     def test(self, lm: ToyLM, keys, us: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
@@ -399,14 +408,14 @@ class InverseTransform(_Scheme):
 
     def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Each key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
+        if lm.vocab_size != self.cfg.vocab_size:
+            raise ValueError("config vocab size must match the model")
         seeds = [key.seed for key in keys]
         perms = [rng.permutation(self.cfg.vocab_size) for rng in substreams(seeds, (_D_ITS_PI,))]
         return substream_uniforms(seeds, (_D_ITS_U,), n), np.array(perms)
 
     def sample(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray]):
         cfg = self.cfg
-        if lm.vocab_size != cfg.vocab_size:
-            raise ValueError("config vocab size must match the model")
         us, perms = xi
         probs = lm.tables.probs
         paths = np.arange(len(keys))
@@ -416,7 +425,7 @@ class InverseTransform(_Scheme):
             cum = np.cumsum(probs[prev[:, None], perms], axis=1)
             return perms[paths, np.minimum(inverse_cdf(cum, us[:, j], "left"), cfg.vocab_size - 1)]
 
-        return lm.paths(len(keys), cfg.n, permuted), [None] * len(keys)
+        return lm.paths(len(keys), cfg.n, permuted), self.meta(lm, keys, xi)
 
     def test(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray], tokens: np.ndarray, meta):
         cfg = self.cfg
@@ -465,7 +474,7 @@ class UmpSequence(_Scheme):
         return x, substream_uniforms(seeds, (_D_UMP_COIN,), 1)[:, 0] <= np.array(accept)
 
     def sample(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray]):
-        return region[0], [None] * len(keys)
+        return region[0], self.meta(lm, keys, region)
 
     def test(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray], tokens, meta):
         x, live = region
@@ -493,9 +502,11 @@ def _rejections(scheme, lm: ToyLM, trials: int, seed: int, null_text: bool) -> i
         ts = np.arange(b * TRIAL_BLOCK, min((b + 1) * TRIAL_BLOCK, trials))
         keys = [WatermarkKey(seed=k) for k in substream_keys(seed, (domain, ts)).tolist()]
         keyed = scheme.keyed(lm, keys, n)
-        tokens, meta = scheme.sample(lm, keys, keyed)
-        if null_text:
+        if null_text:  # the key's own text would go unread
             tokens = lm.sample_paths(substream_uniforms(seed, (_D_NULL_TEXT, ts), n))
+            meta = scheme.meta(lm, keys, keyed)
+        else:
+            tokens, meta = scheme.sample(lm, keys, keyed)
         return int(np.count_nonzero(scheme.test(lm, keys, keyed, tokens, meta)[1]))
 
     return sum(map_trials(block, -(-trials // TRIAL_BLOCK)))

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from oracles import its_token
+from wmstat.dist import DiscreteDist
 from wmstat.lm import (ToyLM, biased_binary_lm, deterministic_lm, drifting_lm,
                        fair_coin_lm, load_lm, save_lm)
 from wmstat.rates import hard_instance, type2_product_exact
@@ -22,6 +23,7 @@ from wmstat.schemes import (
     TRIAL_BLOCK,
     WatermarkKey,
     _alignment_phi,
+    _erlang_log_sf,
     binomial_reject_threshold,
     erlang_upper_quantile,
     estimate_errors,
@@ -77,6 +79,12 @@ class TestNullQuantiles:
             got = erlang_upper_quantile(m, alpha)
             want = scipy_stats.gamma.isf(alpha, m)
             assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("shape, alpha", [(1, 1e-40), (5, 1e-60), (50, 1e-100)])
+    def test_erlang_quantile_beyond_first_bracket(self, shape, alpha):
+        # the smallest float whose tail is at most alpha, far past shape + 20 sqrt(shape) + 50
+        q = erlang_upper_quantile(shape, alpha)
+        assert _erlang_log_sf(shape, q) <= math.log(alpha) < _erlang_log_sf(shape, math.nextafter(q, 0.0))
 
     def test_zero_length(self):
         assert binomial_reject_threshold(0, 1, 2, 0.05) == 1
@@ -159,6 +167,22 @@ class TestChristBinary:
         scheme = ChristBinary(ChristBinaryConfig(n=30, target_alpha=0.01, entropy_threshold=10 * LN2))
         for s in (1, 2, 3):
             assert scheme.generate(lm, WatermarkKey(s)).meta == 10
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 30, 40])
+    def test_start_at_exact_budget(self, k):
+        # fair-coin surprisal is log 2 a token, so the budget, k copies of it
+        # added in order, is met exactly after k tokens (k = n: never keyed)
+        threshold = 0.0
+        for _ in range(k):
+            threshold += LN2
+        lm = fair_coin_lm()
+        scheme = ChristBinary(ChristBinaryConfig(n=40, target_alpha=0.05, entropy_threshold=threshold))
+        keys = [WatermarkKey(seed=300 + t) for t in range(20)]
+        keyed = scheme.keyed(lm, keys, 40)
+        tokens, starts = scheme.sample(lm, keys, keyed)
+        assert starts == scheme.meta(lm, keys, keyed) == [k] * len(keys)
+        for key, row in zip(keys, tokens):
+            assert oracles.christ_generate_loop(scheme, lm, key) == (tuple(row.tolist()), k)
 
     def test_deterministic_lm_fails_closed(self):
         lm = deterministic_lm(2)
@@ -558,3 +582,70 @@ class TestBatchedEngine:
                 assert estimate(scheme, lm, 101, 63)[0] == oracles.estimate_loop(
                     scheme, lm, 101, 63, null_text
                 ), scheme.name
+
+
+class Replay:
+    """A stand-in generator whose ``random()`` hands out the given uniforms in order."""
+
+    def __init__(self, us):
+        self._us = iter(us)
+
+    def random(self) -> float:
+        return next(self._us)
+
+
+def dirichlet_lm(vocab: int, seed: int) -> ToyLM:
+    rng = np.random.default_rng(seed)
+    rows = [DiscreteDist(probs=oracles.random_dist(rng, vocab)) for _ in range(vocab + 1)]
+    return ToyLM(vocab_size=vocab, initial=rows[-1], transitions=tuple(rows[:-1]))
+
+
+def break_uniforms(lm: ToyLM) -> np.ndarray:
+    """Uniform paths that reach each row, then draw every CDF value of that row
+    and its two float neighbours: the ties of the inverse transform."""
+    cdf, vocab = lm.tables.cdf, lm.vocab_size
+    reach, frontier = {vocab: []}, [vocab]  # row -> uniforms whose path ends in it
+    while frontier:
+        row = frontier.pop(0)
+        for tok in range(vocab):
+            lower = cdf[row, tok - 1] if tok else 0.0  # draws tok exactly when it has mass
+            if cdf[row, tok] > lower and tok not in reach:
+                reach[tok] = reach[row] + [lower]
+                frontier.append(tok)
+    assert len(reach) == vocab + 1
+    length = max(map(len, reach.values())) + 2
+    paths = [
+        prefix + [u] + [0.5] * (length - len(prefix) - 1)
+        for row, prefix in reach.items()
+        for c in cdf[row]
+        for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))
+        if u < 1.0
+    ]
+    return np.array(paths)
+
+
+class TestRankLookup:
+    """Model draws by rank among all CDF values against the per-token loop."""
+
+    def test_dirichlet_rows_have_distinct_cdf_values(self):
+        cdf = dirichlet_lm(64, 12).tables.cdf[:, :-1]  # the last entry of a row is guarded to 1
+        assert len(np.unique(cdf)) == cdf.size
+
+    @pytest.mark.parametrize("model", ["dirichlet64", *MODELS])
+    def test_sample_paths_at_every_break(self, model):
+        lm = dirichlet_lm(64, 12) if model == "dirichlet64" else MODELS[model]
+        us = break_uniforms(lm)
+        want = [oracles.sample_sequence_loop(lm, us.shape[1], Replay(row)) for row in us.tolist()]
+        assert [tuple(row) for row in lm.sample_paths(us).tolist()] == want
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_K, 100])
+    def test_meta_matches_sample(self, model, n):
+        # Type I trials take the meta alone
+        lm = MODELS[model]
+        keys = [WatermarkKey(seed=8000 + t) for t in range(37)]
+        for scheme in engine_schemes(lm, n):
+            keyed = scheme.keyed(lm, keys, n)
+            meta = scheme.meta(lm, keys, keyed)
+            want = scheme.sample(lm, keys, keyed)[1]
+            assert meta == want and all(map(same_meta, meta, want)), scheme.name
