@@ -179,16 +179,12 @@ def _cdf_of(probs: tuple) -> tuple[float, ...]:
     return tuple(cum)
 
 
-def _cdf(d: DiscreteDist) -> tuple[float, ...]:
-    return _cdf_of(d.probs)
-
-
 def sample(d: DiscreteDist, rng: np.random.Generator) -> int:
     """Draw one outcome id; deterministic given the generator state."""
-    return int(bisect_right(_cdf(d), rng.random()))
+    return int(bisect_right(_cdf_of(d.probs), rng.random()))
 
 
 def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized i.i.d. draws from ``d`` as an int array."""
-    cdf = np.asarray(_cdf(d))
+    cdf = np.asarray(_cdf_of(d.probs))
     return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64, copy=False)

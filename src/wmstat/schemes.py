@@ -19,20 +19,21 @@ sequence, accepted with probability capped by the level.  All schemes share
 one protocol so their empirical Type I/II errors are directly comparable.
 
 Every scheme works on a batch of keys in three steps: ``keyed`` derives the
-draws a detector recomputes from each key, ``sample`` generates one token
-path per key through the model's one Markov sampler (``ToyLM.paths``), and
-``test`` detects.  Soft red list and ITS supply a per-position rule; model
-draws, keyed binary's included, are ranked up front so that a step is one
-table gather (``ToyLM.walk``).  A detector recomputes everything from the key
-except keyed binary's start index, the only region description (``meta``) a
-generation hands on, and Type I trials compute only that.  Per-key
+draws a detector recomputes from each key, ``sample`` generates one token path
+per key through the model's one Markov sampler (``ToyLM.paths``), and ``test``
+detects, each for the keys ``seeds`` names: an int64 array in the estimates,
+``[key.seed]`` per key.  Soft red list and ITS supply a per-position rule;
+model draws, keyed binary's included, are ranked up front so that a step is
+one table gather (``ToyLM.walk``).  A detector recomputes everything from the
+key except keyed binary's start index, the only region description (``meta``)
+a generation hands on, and Type I trials compute only that.  Per-key
 ``generate``/``detect`` are the batch of one and the error estimates run
-fixed-size blocks of trials.  A batch draws each stream domain's uniforms,
-and the estimates their trial keys and null text, for all its paths at once
+fixed-size blocks of trials.  A batch draws each stream domain's uniforms, and
+the estimates their trial keys and null text, for all its paths at once
 (``streams.substream_uniforms``/``substream_keys``), and soft red list
-partitions and ITS permutations and resamples come from the block's
-generators (``streams.substreams``).  Every result is bit-identical to
-running one key and one token at a time.
+partitions and ITS permutations and resamples come from the block's generators
+(``streams.substreams``).  Every result is bit-identical to running one key
+and one token at a time.
 """
 
 from __future__ import annotations
@@ -96,10 +97,17 @@ class ErrorEstimates:
     trials: int
 
 
-def _check_common(n: int, target_alpha: float) -> None:
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
-    _check_alpha(target_alpha)
+@dataclass(frozen=True)
+class _SchemeConfig:
+    """Text length and level, the first two fields of every scheme's config."""
+
+    n: int
+    target_alpha: float
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"length must be >= 0, got {self.n}")
+        _check_alpha(self.target_alpha)
 
 
 @lru_cache(maxsize=4096)
@@ -153,36 +161,36 @@ def erlang_upper_quantile(shape: int, alpha: float) -> float:
 class _Scheme:
     """Per-key ``generate``/``detect`` as the batch of one.
 
-    Subclasses supply, for a list of keys:
-    ``keyed(lm, keys, n)``, the draws a detector recomputes from each key for
-    text of length n; ``sample(lm, keys, keyed)``, the token paths
-    ``[len(keys), cfg.n]`` and one meta per key (keyed binary's start index,
-    None for the other schemes); and ``test(lm, keys, keyed, tokens, meta)``,
+    Subclasses supply, for the keys named by ``seeds`` (an int array or list):
+    ``keyed(lm, seeds, n)``, the draws a detector recomputes from each key for
+    text of length n; ``sample(lm, seeds, keyed)``, the token paths
+    ``[len(seeds), cfg.n]`` and one meta per key (keyed binary's start index,
+    None for the other schemes); and ``test(lm, seeds, keyed, tokens, meta)``,
     the statistic and the reject flag per key for the token array ``tokens``.
-    ``meta(lm, keys, keyed)`` is ``sample``'s meta alone.  ``detect``
+    ``meta(lm, seeds, keyed)`` is ``sample``'s meta alone.  ``detect``
     rejects any token that is not an integer in 0..V-1.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
 
-    def meta(self, lm: ToyLM, keys, keyed) -> list:
-        return [None] * len(keys)
+    def meta(self, lm: ToyLM, seeds, keyed) -> list:
+        return [None] * len(seeds)
 
     def generate(self, lm: ToyLM, key: WatermarkKey) -> GenRun:
-        keys = [key]
-        tokens, meta = self.sample(lm, keys, self.keyed(lm, keys, self.cfg.n))
+        seeds = [key.seed]
+        tokens, meta = self.sample(lm, seeds, self.keyed(lm, seeds, self.cfg.n))
         return GenRun(tokens=tuple(tokens[0].tolist()), meta=meta[0])
 
     def detect(self, lm: ToyLM, key: WatermarkKey, tokens, meta=None) -> Detection:
-        keys = [key]
+        seeds = [key.seed]
         tokens = tuple(tokens)
         for tok in tokens:
             if not (isinstance(tok, (int, np.integer)) and 0 <= tok < lm.vocab_size):
                 raise ValueError(f"token {tok!r} is not an integer in 0..{lm.vocab_size - 1}")
         tokens = np.array([tokens], dtype=np.int64)
-        keyed = self.keyed(lm, keys, tokens.shape[1])
-        statistic, reject = self.test(lm, keys, keyed, tokens, [meta])
+        keyed = self.keyed(lm, seeds, tokens.shape[1])
+        statistic, reject = self.test(lm, seeds, keyed, tokens, [meta])
         return Detection(statistic=float(statistic[0]), reject=bool(reject[0]))
 
 
@@ -191,15 +199,13 @@ class _Scheme:
 
 
 @dataclass(frozen=True)
-class SoftRedListConfig:
-    n: int
-    target_alpha: float
+class SoftRedListConfig(_SchemeConfig):
     gamma: float = 0.5
     delta: float = 2.0
     vocab_size: int = 2
 
     def __post_init__(self):
-        _check_common(self.n, self.target_alpha)
+        super().__post_init__()
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"green fraction must be in (0,1), got {self.gamma!r}")
         if self.delta < 0.0:
@@ -218,31 +224,31 @@ class SoftRedList(_Scheme):
 
     name = "soft-red-list"
 
-    def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
+    def keyed(self, lm: ToyLM, seeds, n: int) -> np.ndarray:
         """Each key's green masks ``[n, V]``: the first g entries of a keyed shuffle per position."""
         if lm.vocab_size != self.cfg.vocab_size:
             raise ValueError("config vocab size must match the model")
         tiled = np.tile(np.arange(self.cfg.vocab_size), (n, 1))
-        gens = substreams([key.seed for key in keys], (_D_PARTITION,))
+        gens = substreams(seeds, (_D_PARTITION,))
         perms = np.array([rng.permuted(tiled, axis=1) for rng in gens])
         masks = np.zeros(perms.shape, dtype=bool)
         np.put_along_axis(masks, perms[..., : self.cfg.green_size], True, axis=2)
         return masks
 
-    def sample(self, lm: ToyLM, keys, masks: np.ndarray):
+    def sample(self, lm: ToyLM, seeds, masks: np.ndarray):
         cfg = self.cfg
         probs = lm.tables.probs
         boost = math.exp(cfg.delta)
-        us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), cfg.n)
+        us = substream_uniforms(seeds, (_D_PROVIDER,), cfg.n)
 
         def boosted(j: int, prev: np.ndarray) -> np.ndarray:
             rows = probs[prev]
             cdf = np.cumsum(np.where(masks[:, j], rows * boost, rows), axis=1)
             return np.minimum(inverse_cdf(cdf, us[:, j] * cdf[:, -1], "right"), cfg.vocab_size - 1)
 
-        return lm.paths(len(keys), cfg.n, boosted), self.meta(lm, keys, masks)
+        return lm.paths(len(seeds), cfg.n, boosted), self.meta(lm, seeds, masks)
 
-    def test(self, lm: ToyLM, keys, masks: np.ndarray, tokens: np.ndarray, meta):
+    def test(self, lm: ToyLM, seeds, masks: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
         count, n = tokens.shape
         green = masks[np.arange(count)[:, None], np.arange(n), tokens].sum(axis=1)
@@ -257,13 +263,11 @@ class SoftRedList(_Scheme):
 
 
 @dataclass(frozen=True)
-class ChristBinaryConfig:
-    n: int
-    target_alpha: float
+class ChristBinaryConfig(_SchemeConfig):
     entropy_threshold: float = 3.0  # nats accrued before the keyed phase
 
     def __post_init__(self):
-        _check_common(self.n, self.target_alpha)
+        super().__post_init__()
         if self.entropy_threshold < 0.0:
             raise ValueError(f"entropy threshold must be >= 0, got {self.entropy_threshold!r}")
 
@@ -278,28 +282,28 @@ class ChristBinary(_Scheme):
 
     name = "keyed-binary"
 
-    def keyed(self, lm: ToyLM, keys, n: int) -> np.ndarray:
+    def keyed(self, lm: ToyLM, seeds, n: int) -> np.ndarray:
         """Keyed uniforms; the keyed token at position j uses draw j - start."""
-        return substream_uniforms([key.seed for key in keys], (_D_CHRIST_U,), n)
+        return substream_uniforms(seeds, (_D_CHRIST_U,), n)
 
-    def _unkeyed(self, lm: ToyLM, keys) -> tuple[np.ndarray, np.ndarray]:
+    def _unkeyed(self, lm: ToyLM, seeds) -> tuple[np.ndarray, np.ndarray]:
         """Each key's model ranks of its unkeyed draws and its start index: surprisal
         accrued in position order never falls, so the keyed positions are a suffix."""
         if lm.vocab_size != 2:
             raise ValueError("this scheme needs a binary model")
         tables = lm.tables
-        prefix_us = substream_uniforms([key.seed for key in keys], (_D_PROVIDER,), self.cfg.n)
+        prefix_us = substream_uniforms(seeds, (_D_PROVIDER,), self.cfg.n)
         ranks = np.searchsorted(tables.breaks, prefix_us, side="right")
         accrued = np.subtract.accumulate(lm.step_logprobs(lm.walk(tables.draw, ranks)), axis=1)
         return ranks, np.count_nonzero(accrued[:, :-1] < self.cfg.entropy_threshold, axis=1)
 
-    def meta(self, lm: ToyLM, keys, us: np.ndarray) -> list:
-        return self._unkeyed(lm, keys)[1].tolist()
+    def meta(self, lm: ToyLM, seeds, us: np.ndarray) -> list:
+        return self._unkeyed(lm, seeds)[1].tolist()
 
-    def sample(self, lm: ToyLM, keys, us: np.ndarray):
+    def sample(self, lm: ToyLM, seeds, us: np.ndarray):
         """The prefix, then tokens ``u <= p1[prev]``, u ranked among the ``p1`` values
         in draw-table columns after the model's."""
-        ranks, starts = self._unkeyed(lm, keys)
+        ranks, starts = self._unkeyed(lm, seeds)
         model_draw, p1 = lm.tables.draw, lm.tables.probs[:, 1]
         levels = np.unique(p1)
         # token 1 iff p1[prev] >= u iff fewer than its place in levels lie below u
@@ -310,7 +314,7 @@ class ChristBinary(_Scheme):
         keyed_ranks = model_draw.shape[1] + np.searchsorted(levels, keyed_u, side="left")
         return lm.walk(draw, np.where(since >= 0, keyed_ranks, ranks)), starts.tolist()
 
-    def test(self, lm: ToyLM, keys, us: np.ndarray, tokens: np.ndarray, meta):
+    def test(self, lm: ToyLM, seeds, us: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
         length = tokens.shape[1]
         if None in meta:
@@ -338,15 +342,13 @@ class ChristBinary(_Scheme):
 
 
 @dataclass(frozen=True)
-class ItsConfig:
-    n: int
-    target_alpha: float
+class ItsConfig(_SchemeConfig):
     resamples: int = 99
     block_k: int = 10
     vocab_size: int = 2
 
     def __post_init__(self):
-        _check_common(self.n, self.target_alpha)
+        super().__post_init__()
         if self.resamples < 1:
             raise ValueError(f"resamples must be >= 1, got {self.resamples}")
         if self.block_k < 2:
@@ -398,44 +400,36 @@ class InverseTransform(_Scheme):
 
     name = "inverse-transform"
 
-    def _with_resamples(self, rng: np.random.Generator, us: np.ndarray, perm: np.ndarray):
-        """Uniforms ``[R+1, L]`` (the keyed draw, then its resamples from the
-        key's resample stream ``rng``) and each token's rank."""
-        cfg = self.cfg
-        resampled = rng.random((cfg.resamples, len(us)))
-        u_all = np.concatenate([us[None, :], resampled], axis=0)
-        return u_all, np.argsort(perm) / max(cfg.vocab_size - 1, 1)
-
-    def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def keyed(self, lm: ToyLM, seeds, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Each key's n uniforms and its one permutation ``[V]`` (rank -> token)."""
         if lm.vocab_size != self.cfg.vocab_size:
             raise ValueError("config vocab size must match the model")
-        seeds = [key.seed for key in keys]
         perms = [rng.permutation(self.cfg.vocab_size) for rng in substreams(seeds, (_D_ITS_PI,))]
         return substream_uniforms(seeds, (_D_ITS_U,), n), np.array(perms)
 
-    def sample(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray]):
+    def sample(self, lm: ToyLM, seeds, xi: tuple[np.ndarray, np.ndarray]):
         cfg = self.cfg
         us, perms = xi
         probs = lm.tables.probs
-        paths = np.arange(len(keys))
+        paths = np.arange(len(seeds))
 
         def permuted(j: int, prev: np.ndarray) -> np.ndarray:
             """Inverse transform through the CDF taken in permuted rank order."""
             cum = np.cumsum(probs[prev[:, None], perms], axis=1)
             return perms[paths, np.minimum(inverse_cdf(cum, us[:, j], "left"), cfg.vocab_size - 1)]
 
-        return lm.paths(len(keys), cfg.n, permuted), self.meta(lm, keys, xi)
+        return lm.paths(len(seeds), cfg.n, permuted), self.meta(lm, seeds, xi)
 
-    def test(self, lm: ToyLM, keys, xi: tuple[np.ndarray, np.ndarray], tokens: np.ndarray, meta):
+    def test(self, lm: ToyLM, seeds, xi: tuple[np.ndarray, np.ndarray], tokens: np.ndarray, meta):
         cfg = self.cfg
         length = tokens.shape[1]
         if length < cfg.block_k:
             raise ValueError(f"need at least {cfg.block_k} tokens, got {length}")
-        p_values = np.empty(len(keys))
-        resample_gens = substreams([key.seed for key in keys], (_D_ITS_RESAMPLE,))
-        for i, (rng, us, perm) in enumerate(zip(resample_gens, *xi)):
-            phi = _alignment_phi(*self._with_resamples(rng, us, perm), tokens[i], cfg.block_k - 1)
+        p_values = np.empty(len(seeds))
+        rank_norm = np.argsort(xi[1], axis=1) / max(cfg.vocab_size - 1, 1)  # each token's rank
+        for i, (rng, us) in enumerate(zip(substreams(seeds, (_D_ITS_RESAMPLE,)), xi[0])):
+            u_all = np.vstack([us, rng.random((cfg.resamples, len(us)))])  # the draw, then resamples
+            phi = _alignment_phi(u_all, rank_norm[i], tokens[i], cfg.block_k - 1)
             p_values[i] = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
         return p_values, p_values <= cfg.target_alpha
 
@@ -445,12 +439,8 @@ class InverseTransform(_Scheme):
 
 
 @dataclass(frozen=True)
-class UmpSequenceConfig:
-    n: int
-    target_alpha: float
-
-    def __post_init__(self):
-        _check_common(self.n, self.target_alpha)
+class UmpSequenceConfig(_SchemeConfig):
+    """Length and level alone: the region needs no other parameter."""
 
 
 class UmpSequence(_Scheme):
@@ -463,20 +453,19 @@ class UmpSequence(_Scheme):
 
     name = "ump-sequence"
 
-    def keyed(self, lm: ToyLM, keys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def keyed(self, lm: ToyLM, seeds, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Each key's region: its sequence X of the configured length, whatever
         the text length n, and whether the region is live."""
         cfg = self.cfg
-        seeds = [key.seed for key in keys]
         x = lm.sample_paths(substream_uniforms(seeds, (_D_UMP_X,), cfg.n))
         log_accept = (math.log(cfg.target_alpha) - lm.logprobs(x)).tolist()
         accept = [1.0 if la >= 0.0 else math.exp(la) for la in log_accept]
         return x, substream_uniforms(seeds, (_D_UMP_COIN,), 1)[:, 0] <= np.array(accept)
 
-    def sample(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray]):
-        return region[0], self.meta(lm, keys, region)
+    def sample(self, lm: ToyLM, seeds, region: tuple[np.ndarray, np.ndarray]):
+        return region[0], self.meta(lm, seeds, region)
 
-    def test(self, lm: ToyLM, keys, region: tuple[np.ndarray, np.ndarray], tokens, meta):
+    def test(self, lm: ToyLM, seeds, region: tuple[np.ndarray, np.ndarray], tokens, meta):
         x, live = region
         same = (tokens == x).all(axis=1) if tokens.shape == x.shape else False
         reject = live & same
@@ -500,14 +489,14 @@ def _rejections(scheme, lm: ToyLM, trials: int, seed: int, null_text: bool) -> i
 
     def block(b: int) -> int:
         ts = np.arange(b * TRIAL_BLOCK, min((b + 1) * TRIAL_BLOCK, trials))
-        keys = [WatermarkKey(seed=k) for k in substream_keys(seed, (domain, ts)).tolist()]
-        keyed = scheme.keyed(lm, keys, n)
+        seeds = substream_keys(seed, (domain, ts))
+        keyed = scheme.keyed(lm, seeds, n)
         if null_text:  # the key's own text would go unread
             tokens = lm.sample_paths(substream_uniforms(seed, (_D_NULL_TEXT, ts), n))
-            meta = scheme.meta(lm, keys, keyed)
+            meta = scheme.meta(lm, seeds, keyed)
         else:
-            tokens, meta = scheme.sample(lm, keys, keyed)
-        return int(np.count_nonzero(scheme.test(lm, keys, keyed, tokens, meta)[1]))
+            tokens, meta = scheme.sample(lm, seeds, keyed)
+        return int(np.count_nonzero(scheme.test(lm, seeds, keyed, tokens, meta)[1]))
 
     return sum(map_trials(block, -(-trials // TRIAL_BLOCK)))
 

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,7 +13,7 @@ from wmstat.dist import DiscreteDist
 from wmstat.lm import (ToyLM, biased_binary_lm, deterministic_lm, drifting_lm,
                        fair_coin_lm, load_lm, save_lm)
 from wmstat.rates import hard_instance, type2_product_exact
-from wmstat.streams import substream
+from wmstat.streams import substream, substream_uniforms
 from wmstat.schemes import (
     ChristBinary,
     ChristBinaryConfig,
@@ -54,8 +57,8 @@ def empirical_sequence_tv(lm: ToyLM, scheme, n: int, keys: int) -> float:
 
     All keys go through one batched generation call.
     """
-    batch = tv_keys(keys)
-    tokens, _ = scheme.sample(lm, batch, scheme.keyed(lm, batch, n))
+    seeds = [key.seed for key in tv_keys(keys)]
+    tokens, _ = scheme.sample(lm, seeds, scheme.keyed(lm, seeds, n))
     return sequence_tv(lm, tokens)
 
 
@@ -129,11 +132,11 @@ class TestSoftRedList:
         lm = biased_binary_lm(0.7, 0.6)
         # common random numbers: the same keys for every delta, and the green
         # masks, which do not depend on the boost, derived once
-        keys = tv_keys(30_000)
-        masks = SoftRedList(self.cfg(n=3)).keyed(lm, keys, 3)
+        seeds = [key.seed for key in tv_keys(30_000)]
+        masks = SoftRedList(self.cfg(n=3)).keyed(lm, seeds, 3)
         tvs = []
         for delta in (0.0, 0.5, 1.0, 2.0, 4.0):
-            tokens, _ = SoftRedList(self.cfg(n=3, delta=delta)).sample(lm, keys, masks)
+            tokens, _ = SoftRedList(self.cfg(n=3, delta=delta)).sample(lm, seeds, masks)
             tvs.append(sequence_tv(lm, tokens))
         assert all(b > a for a, b in zip(tvs, tvs[1:]))
 
@@ -178,9 +181,10 @@ class TestChristBinary:
         lm = fair_coin_lm()
         scheme = ChristBinary(ChristBinaryConfig(n=40, target_alpha=0.05, entropy_threshold=threshold))
         keys = [WatermarkKey(seed=300 + t) for t in range(20)]
-        keyed = scheme.keyed(lm, keys, 40)
-        tokens, starts = scheme.sample(lm, keys, keyed)
-        assert starts == scheme.meta(lm, keys, keyed) == [k] * len(keys)
+        seeds = [key.seed for key in keys]
+        keyed = scheme.keyed(lm, seeds, 40)
+        tokens, starts = scheme.sample(lm, seeds, keyed)
+        assert starts == scheme.meta(lm, seeds, keyed) == [k] * len(keys)
         for key, row in zip(keys, tokens):
             assert oracles.christ_generate_loop(scheme, lm, key) == (tuple(row.tolist()), k)
 
@@ -488,10 +492,11 @@ class TestBatchedEngine:
     def test_generation_matches_loops(self, model, n):
         lm = MODELS[model]
         keys = [WatermarkKey(seed=5000 + t) for t in range(37)]
+        seeds = [key.seed for key in keys]
         for scheme in engine_schemes(lm, n):
             loop = oracles.SCHEME_LOOPS[type(scheme)][0]
             want = [loop(scheme, lm, key) for key in keys]
-            tokens, meta = scheme.sample(lm, keys, scheme.keyed(lm, keys, n))
+            tokens, meta = scheme.sample(lm, seeds, scheme.keyed(lm, seeds, n))
             assert tokens.shape == (len(keys), n)
             for key, row, m, (want_tokens, want_meta) in zip(keys, tokens, meta, want):
                 assert tuple(row.tolist()) == want_tokens, scheme.name
@@ -506,7 +511,7 @@ class TestBatchedEngine:
         scheme = InverseTransform(ItsConfig(n=3, target_alpha=0.1, resamples=19, block_k=2))
         perms = np.array([[0, 1], [1, 0]])
         us = np.full((2, 3), 0.5)
-        tokens, _ = scheme.sample(lm, [WatermarkKey(1), WatermarkKey(2)], (us, perms))
+        tokens, _ = scheme.sample(lm, [1, 2], (us, perms))
         want = [[its_token((0.5, 0.5), 0.5, perm)] * 3 for perm in perms]
         assert tokens.tolist() == want == [[0, 0, 0], [1, 1, 1]]
 
@@ -514,7 +519,8 @@ class TestBatchedEngine:
         lm = MODELS["deterministic2"]
         scheme = ChristBinary(ChristBinaryConfig(n=100, target_alpha=0.05))
         keys = [WatermarkKey(seed=t) for t in range(5)]
-        tokens, starts = scheme.sample(lm, keys, scheme.keyed(lm, keys, 100))
+        seeds = [key.seed for key in keys]
+        tokens, starts = scheme.sample(lm, seeds, scheme.keyed(lm, seeds, 100))
         assert starts == [100] * 5
         assert all(oracles.christ_generate_loop(scheme, lm, key)[1] == 100 for key in keys)
         assert (tokens == np.arange(100) % 2).all()
@@ -583,6 +589,48 @@ class TestBatchedEngine:
                     scheme, lm, 101, 63, null_text
                 ), scheme.name
 
+    @pytest.mark.parametrize("model", ["fair-coin", "biased-binary", "drifting6"])
+    def test_seed_array_and_int_list_agree(self, model):
+        # the estimates pass an int64 array, per-key calls a list of ints;
+        # both are read modulo 2**64, negative entries included
+        lm = MODELS[model]
+        array = np.array([0, 1, -5, 2**63 - 1, -(2**63), 2**40 + 7], dtype=np.int64)
+        ints = array.tolist()
+        text = lm.sample_paths(substream_uniforms(29, (1, np.arange(len(ints))), BLOCK_K))
+        for scheme in engine_schemes(lm, BLOCK_K):
+            keyed = [scheme.keyed(lm, seeds, BLOCK_K) for seeds in (array, ints)]
+            assert same_bits(*keyed), scheme.name
+            sampled = [scheme.sample(lm, seeds, keyed[0]) for seeds in (array, ints)]
+            assert same_bits(sampled[0][0], sampled[1][0]), scheme.name
+            metas = [scheme.meta(lm, seeds, keyed[0]) for seeds in (array, ints)]
+            assert sampled[0][1] == sampled[1][1] == metas[0] == metas[1], scheme.name
+            for tokens, meta in (sampled[0], (text, metas[0])):
+                assert same_bits(*(scheme.test(lm, seeds, keyed[0], tokens, meta)
+                                   for seeds in (array, ints))), scheme.name
+
+    @pytest.mark.parametrize("model", ["fair-coin", "biased-binary", "drifting6"])
+    def test_per_key_seeds_read_modulo_2_64(self, model):
+        # seeds past int64 either way: an int64 cast of [key.seed] would overflow
+        lm = MODELS[model]
+        for scheme in engine_schemes(lm, BLOCK_K):
+            for seed in (-3, 2**64 + 5, 2**70 + 11):
+                keyed = scheme.keyed(lm, [seed], BLOCK_K)
+                tokens, meta = scheme.sample(lm, [seed], keyed)
+                statistic, reject = scheme.test(lm, [seed], keyed, tokens, meta)
+                run = scheme.generate(lm, WatermarkKey(seed))
+                assert run == scheme.generate(lm, WatermarkKey(seed % 2**64)), scheme.name
+                assert run.tokens == tuple(tokens[0].tolist()), scheme.name
+                assert same_meta(run.meta, meta[0]), scheme.name
+                det = scheme.detect(lm, WatermarkKey(seed), run.tokens, run.meta)
+                assert (det.statistic, det.reject) == (statistic[0], reject[0]), scheme.name
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays of one dtype and shape, compared by their bytes, or tuples of them."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class Replay:
     """A stand-in generator whose ``random()`` hands out the given uniforms in order."""
@@ -644,8 +692,46 @@ class TestRankLookup:
         # Type I trials take the meta alone
         lm = MODELS[model]
         keys = [WatermarkKey(seed=8000 + t) for t in range(37)]
+        seeds = [key.seed for key in keys]
         for scheme in engine_schemes(lm, n):
-            keyed = scheme.keyed(lm, keys, n)
-            meta = scheme.meta(lm, keys, keyed)
-            want = scheme.sample(lm, keys, keyed)[1]
+            keyed = scheme.keyed(lm, seeds, n)
+            meta = scheme.meta(lm, seeds, keyed)
+            want = scheme.sample(lm, seeds, keyed)[1]
             assert meta == want and all(map(same_meta, meta, want)), scheme.name
+
+
+class TestSchemeConfigs:
+    """The four configs share their first two fields and the checks on them."""
+
+    FIELDS = {
+        SoftRedListConfig: (("n", None), ("target_alpha", None), ("gamma", 0.5), ("delta", 2.0),
+                            ("vocab_size", 2)),
+        ChristBinaryConfig: (("n", None), ("target_alpha", None), ("entropy_threshold", 3.0)),
+        ItsConfig: (("n", None), ("target_alpha", None), ("resamples", 99), ("block_k", 10),
+                    ("vocab_size", 2)),
+        UmpSequenceConfig: (("n", None), ("target_alpha", None)),
+    }
+
+    @pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
+    def test_fields_and_defaults(self, config):
+        got = tuple(
+            (f.name, None if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(config)
+        )
+        assert got == self.FIELDS[config]
+        # positional construction in field order
+        cfg = config(20, 0.05, *(default for _, default in self.FIELDS[config][2:]))
+        assert (cfg.n, cfg.target_alpha) == (20, 0.05)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n = 30
+
+    @pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
+    def test_common_checks(self, config):
+        with warnings.catch_warnings():
+            # the length and level are checked before ITS's p-value floor warning
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("length must be >= 0, got -1")):
+                config(n=-1, target_alpha=0.05)
+            for alpha in (0.0, 1.0, -0.5, 1.5):
+                with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0,1), got {alpha!r}")):
+                    config(n=20, target_alpha=alpha)

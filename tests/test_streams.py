@@ -75,7 +75,7 @@ def test_signed_entries_wrap_like_substream():
 
 @pytest.mark.parametrize("count", [5, 40])
 def test_int_lists_read_modulo_2_64(count):
-    # the schemes pass [key.seed for key in keys]: Python ints of any size or sign
+    # per-key scheme calls pass [key.seed]: a Python int of any size or sign
     seeds = [(-1) ** i * (2**64 + 3 * i) + (2**70 if i % 3 else 0) for i in range(count)]
     path = ([2**64 - 1 - i for i in range(count)], 9)
     assert_same_bits(substream_uniforms(seeds, path, 4), reference_uniforms(seeds, path, count, 4))
