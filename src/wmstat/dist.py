@@ -184,7 +184,36 @@ def sample(d: DiscreteDist, rng: np.random.Generator) -> int:
     return int(bisect_right(_cdf_of(d.probs), rng.random()))
 
 
+@lru_cache(maxsize=4096)
+def _search_table(probs: tuple) -> np.ndarray:
+    """The k - 1 interior CDF values, padded with inf to 2**m - 1, m = ceil(log2 k)."""
+    inner = _cdf_of(probs)[:-1]
+    table = np.full((1 << len(inner).bit_length()) - 1, np.inf)
+    table[: len(inner)] = inner
+    table.flags.writeable = False
+    return table
+
+
 def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized i.i.d. draws from ``d`` as an int array."""
-    cdf = np.asarray(_cdf_of(d.probs))
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64, copy=False)
+    """``size`` i.i.d. draws from ``d`` as an int64 array, one uniform each.
+
+    Draw i counts the CDF entries at or below ``rng.random(size)[i]``, as
+    ``sample`` does; the last entry is at least 1, so only the k - 1 interior
+    ones can count.  A branchless binary search over them, padded with inf to
+    2**m - 1 entries, finds the count in m = ceil(log2 k) whole-array compare
+    passes: the first compares with one scalar, each later one gathers the
+    entry halfway through the bracket each draw has narrowed to.  Memory is a
+    few arrays of ``size`` entries, so callers bound it by the size they ask
+    for: ``rates.type2_product_mc`` draws in chunks of ``MC_CHUNK``.
+    """
+    table = _search_table(d.probs)
+    u = rng.random(size)
+    draws = np.zeros(size, np.int64)
+    step = (len(table) + 1) >> 1
+    if step:
+        np.multiply(u >= table[step - 1], step, out=draws)
+        step >>= 1
+    while step:
+        draws += (table[draws + (step - 1)] <= u) * step
+        step >>= 1
+    return draws

@@ -8,6 +8,11 @@ outcomes), estimates it by Monte Carlo, provides the two-point minimum-entropy
 instance behind the rate lower bound, evaluates the closed-form lower/upper
 bounds on the tokens needed for target error levels, and searches for the
 empirical crossing point.
+
+The Monte Carlo estimator draws each block of ``MC_BLOCK`` sequences from
+one keyed generator, ``MC_CHUNK`` draws (or one sequence) at a time, so its
+memory is bounded by the chunk and does not grow with n.  Lengths, sample
+counts and ``n_max`` must be ints or numpy integers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,13 @@ from .streams import substream
 
 MAX_WALK_PREFIXES = 2_000_000
 MC_BLOCK = 1 << 14
+MC_CHUNK = 1 << 13  # draws per sample_many call: the arrays stay small and reused
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a count that is not an int or numpy integer (bool included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +160,7 @@ def type2_product_exact(
     binomial path whenever the support has at most two outcomes.
     """
     _check_alpha(alpha)
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     probs = _support(rho0)
@@ -168,25 +181,34 @@ def type2_product_mc(
     """Unbiased Monte Carlo estimate of the optimal miss probability.
 
     Averages (1 - alpha/P(sequence))+ over i.i.d. sequences, accumulating
-    sequence probabilities in log space.  Sampling is split into fixed-size
-    blocks with substreams keyed by (seed, block index) and reduced in block
-    order.
+    sequence probabilities in log space.  Sampling is split into blocks of
+    ``MC_BLOCK`` sequences with substreams keyed by (seed, block index) and
+    reduced in block order.  A block's generator feeds ``sample_many`` in
+    chunks of whole sequences, about ``MC_CHUNK`` draws each (one sequence
+    when n is longer), so the draws are those of one ``size * n`` call and
+    memory is bounded by the chunk, not by ``MC_BLOCK * n``.
     """
     _check_alpha(alpha)
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("samples", samples)
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     log_probs = np.array(
         [math.log(float(p)) if float(p) > 0.0 else -math.inf for p in rho0.probs]
     )
     n_blocks = (samples + MC_BLOCK - 1) // MC_BLOCK
+    rows = max(1, MC_CHUNK // n)  # sequences per chunk
 
     def block_sums(b: int) -> tuple[float, float]:
         size = min(MC_BLOCK, samples - b * MC_BLOCK)
         rng = substream(seed, b)
-        draws = sample_many(rho0, rng, size * n).reshape(size, n)
-        log_rho = log_probs[draws].sum(axis=1)
+        log_rho = np.empty(size)
+        for start in range(0, size, rows):
+            chunk = log_rho[start : start + rows]
+            draws = sample_many(rho0, rng, len(chunk) * n)
+            log_probs[draws].reshape(-1, n).sum(axis=1, out=chunk)
         with np.errstate(divide="ignore"):
             vals = np.maximum(1.0 - alpha / np.exp(log_rho), 0.0)
         # fsum keeps constant-integrand cases bit-exact (point mass -> 1-alpha)
@@ -262,6 +284,7 @@ def n_required_empirical(
     _check_alpha(alpha)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta!r}")
+    _check_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > 100_000:

@@ -9,8 +9,9 @@ shares code paths with the library, except that ``max_flow_fifo`` works on a
 solves its exhaustive LP with the library's simplex (itself checked against
 ``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
 input with ``integrality_check``, ``srl_type1_exact`` takes the detector's
-threshold from ``binomial_reject_threshold``, and the per-token scheme loops
-take their stream domains from the schemes.
+threshold from ``binomial_reject_threshold``, ``type2_product_mc_blocks``
+reads the library's block size ``rates.MC_BLOCK``, and the per-token scheme
+loops take their stream domains from the schemes.
 The loops draw every keyed stream, trial keys, green masks and ITS resamples
 included, from one ``substream`` per key, where the schemes draw a block's
 streams through ``substreams``.
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from wmstat import rates
 from wmstat import schemes as sch
 from wmstat.agnostic import integrality_check
 from wmstat.dist import DiscreteDist, ResourceLimit, sample
@@ -161,6 +163,48 @@ def beta_count_vectors_full(rho: DiscreteDist, n: int, alpha: float) -> float:
 
     visit(0, n, 0.0, math.lgamma(n + 1))
     return math.fsum(terms)
+
+
+def sample_many_searchsorted(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``dist.sample_many`` by ``np.searchsorted`` over the float CDF, side right.
+
+    The CDF is the running float sum of the probabilities with its last entry
+    raised to at least 1, the library's rule; each uniform maps to the number
+    of entries at or below it.
+    """
+    cdf = np.cumsum([float(p) for p in d.probs])
+    cdf[-1] = max(cdf[-1], 1.0)
+    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64, copy=False)
+
+
+def type2_product_mc_blocks(
+    rho0: DiscreteDist, n: int, alpha: float, samples: int, seed: int
+) -> tuple[float, float]:
+    """``rates.type2_product_mc`` drawing each block's ``size * n`` tokens at once.
+
+    One ``sample_many_searchsorted`` call per block of ``rates.MC_BLOCK``
+    sequences (read at call time), reshaped to ``[size, n]`` and summed by row.
+    """
+    log_probs = np.array(
+        [math.log(float(p)) if float(p) > 0.0 else -math.inf for p in rho0.probs]
+    )
+    n_blocks = (samples + rates.MC_BLOCK - 1) // rates.MC_BLOCK
+
+    def block_sums(b: int) -> tuple[float, float]:
+        size = min(rates.MC_BLOCK, samples - b * rates.MC_BLOCK)
+        rng = substream(seed, b)
+        draws = sample_many_searchsorted(rho0, rng, size * n).reshape(size, n)
+        log_rho = log_probs[draws].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            vals = np.maximum(1.0 - alpha / np.exp(log_rho), 0.0)
+        return math.fsum(vals.tolist()), math.fsum((vals * vals).tolist())
+
+    sums = [block_sums(b) for b in range(n_blocks)]
+    total = math.fsum(s for s, _ in sums)
+    total_sq = math.fsum(s2 for _, s2 in sums)
+    mean = total / samples
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
 
 
 def worst_set_gap_brute(probs, law) -> float:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pascal_binom
+from oracles import pascal_binom, random_dist, sample_many_searchsorted
 from wmstat.dist import (
     LN2,
     DiscreteDist,
@@ -214,3 +214,76 @@ class TestSample:
         d = DiscreteDist(probs=(0.0, 1.0, 0.0))
         draws = sample_many(d, substream(5, 0), 10_000)
         assert set(draws.tolist()) == {1}
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next ``random(size)`` is ``values``."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def _with_zeros(rng: np.random.Generator, k: int) -> DiscreteDist:
+    """A random row of k outcomes, about a third of them with probability 0."""
+    probs = np.asarray(random_dist(rng, k))
+    probs[rng.random(k) < 1 / 3] = 0.0
+    probs[int(rng.integers(k))] += 1e-3  # at least one live outcome
+    return DiscreteDist.from_weights(probs.tolist())
+
+
+class TestSampleManyMatchesSearchsorted:
+    """The branchless search draws exactly what ``np.searchsorted`` would."""
+
+    KS = (1, 2, 3, 4, 5, 8, 9, 17, 1000)
+
+    @staticmethod
+    def _same(d: DiscreteDist, seed: int, size: int = 20_000) -> None:
+        got = sample_many(d, substream(seed, 0), size)
+        want = sample_many_searchsorted(d, substream(seed, 0), size)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_random_rows(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(3):
+            self._same(DiscreteDist(probs=random_dist(rng, k)), 100 * k + trial)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_rows_with_zero_probability_outcomes(self, k):
+        rng = np.random.default_rng(1000 + k)
+        for trial in range(3):
+            self._same(_with_zeros(rng, k), 200 * k + trial)
+        for outcome in {0, k // 2, k - 1}:  # point masses, trailing zeros included
+            self._same(DiscreteDist.point_mass(k, outcome), 300 * k + outcome)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            DiscreteDist.uniform(3),
+            DiscreteDist.uniform(17),
+            DiscreteDist(probs=(Fraction(1, 3), Fraction(0), Fraction(2, 3))),
+            DiscreteDist(probs=(Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))),
+        ],
+        ids=["uniform3", "uniform17", "thirds-with-zero", "sevenths"],
+    )
+    def test_exact_rows(self, d):
+        self._same(d, 17)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_uniforms_on_cdf_entries(self, k):
+        # a uniform equal to a CDF entry counts it, as side="right" does
+        d = DiscreteDist(probs=random_dist(np.random.default_rng(2000 + k), k))
+        cdf = np.cumsum([float(p) for p in d.probs])
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = sample_many(d, _FixedUniforms(u), len(u))
+        want = sample_many_searchsorted(d, _FixedUniforms(u), len(u))
+        np.testing.assert_array_equal(got, want)
+
+    def test_empty_draw(self):
+        assert sample_many(DiscreteDist.uniform(5), substream(1, 0), 0).shape == (0,)

@@ -1,11 +1,20 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import beta_count_vectors_full, random_dist, type2_product_rational
+from oracles import (
+    beta_count_vectors_full,
+    random_dist,
+    type2_product_mc_blocks,
+    type2_product_rational,
+)
 from wmstat import rates
 from wmstat.dist import LN2, DiscreteDist, ResourceLimit, entropy
 from wmstat.rates import (
@@ -231,6 +240,91 @@ class TestMonteCarloProduct:
             exact = type2_product_exact(rho, n, alpha)
             est, stderr = type2_product_mc(rho, n, alpha, 100_000, int(rng.integers(1 << 30)))
             assert abs(est - exact) <= 4 * max(stderr, 1e-12)
+
+
+class TestMonteCarloChunks:
+    """Chunked draws give the whole-block estimator's results bit for bit."""
+
+    ROWS = [
+        DiscreteDist.point_mass(2, 0),
+        DiscreteDist(probs=(0.5, 0.5)),
+        hard_instance(0.1),
+        DiscreteDist(probs=(0.6, 0.0, 0.3, 0.1)),
+        DiscreteDist(probs=(Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 189])
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_block_boundary(self, row, n):
+        # a second, 37-sequence block; n = 189 splits each block into chunks
+        args = (self.ROWS[row], n, 0.01, rates.MC_BLOCK + 37, 5 + row)
+        assert type2_product_mc(*args) == type2_product_mc_blocks(*args)
+
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_sequences_longer_than_a_chunk(self, row, monkeypatch):
+        # n > MC_CHUNK: each chunk is one sequence; a small block keeps the
+        # whole-block oracle's [size, n] arrays small
+        monkeypatch.setattr(rates, "MC_BLOCK", 128)
+        args = (self.ROWS[row], 9000, 0.01, 128 + 37, 11 + row)
+        assert type2_product_mc(*args) == type2_product_mc_blocks(*args)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(14)
+        for trial in range(12):
+            rho = DiscreteDist(probs=random_dist(rng, int(rng.integers(2, 18))))
+            n = int(rng.integers(1, 300))
+            args = (rho, n, float(rng.uniform(1e-4, 0.5)), int(rng.integers(100, 3000)), trial)
+            assert type2_product_mc(*args) == type2_product_mc_blocks(*args)
+
+    def test_memory_does_not_grow_with_block_times_n(self):
+        # one full block at n = 4096 is 2**26 draws: 1.6 GB as whole-block
+        # arrays, a few chunks of 2**13 draws here
+        code = (
+            "import resource\n"
+            "from wmstat.rates import MC_BLOCK, hard_instance, type2_product_mc\n"
+            "type2_product_mc(hard_instance(0.1), 4096, 0.01, MC_BLOCK, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(rates.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 200
+
+
+class TestCountArguments:
+    """Counts must be ints or numpy integers; anything else names the quantity."""
+
+    BAD = [1.0, 2.5, True, False, "3", None, Fraction(3)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_length(self, bad):
+        for estimate in (type2_product_exact, lambda *args: type2_product_mc(*args, 1000, 0)):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                estimate(DiscreteDist.uniform(2), bad, 0.1)
+
+    @pytest.mark.parametrize("bad", [1000.0, 1e3, True, "1000", Fraction(1000)], ids=repr)
+    def test_samples(self, bad):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            type2_product_mc(DiscreteDist.uniform(2), 3, 0.1, bad, 0)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_n_max(self, bad):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            n_required_empirical(hard_instance(0.2), 0.01, 0.01, bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_accepted(self, kind):
+        rho = hard_instance(0.2)
+        assert type2_product_exact(rho, kind(40), 0.01) == type2_product_exact(rho, 40, 0.01)
+        assert type2_product_mc(rho, kind(40), 0.01, kind(500), 3) == type2_product_mc(
+            rho, 40, 0.01, 500, 3
+        )
+        assert n_required_empirical(rho, 0.01, 0.01, kind(200)) == n_required_empirical(
+            rho, 0.01, 0.01, 200
+        )
 
 
 class TestHardInstance:
