@@ -9,6 +9,11 @@ instance behind the rate lower bound, evaluates the closed-form lower/upper
 bounds on the tokens needed for target error levels, and searches for the
 empirical crossing point.
 
+The first-crossing scan evaluates two-outcome supports a chunk of
+consecutive lengths at a time, over only the classes above alpha,
+bit-identical to one length at a time; a chunk holds at most ``SCAN_CELLS``
+cells, so memory does not grow with ``n_max``.
+
 The Monte Carlo estimator draws each block of ``MC_BLOCK`` sequences from
 one keyed generator, ``MC_CHUNK`` draws (or one sequence) at a time, so its
 memory is bounded by the chunk and does not grow with n.  Lengths, sample
@@ -28,6 +33,8 @@ from .streams import substream
 MAX_WALK_PREFIXES = 2_000_000
 MC_BLOCK = 1 << 14
 MC_CHUNK = 1 << 13  # draws per sample_many call: the arrays stay small and reused
+SCAN_FIRST = 16  # lengths in the binomial scan's first chunk; each next one doubles
+SCAN_CELLS = 1 << 16  # (length, success count) cells per chunk
 
 
 def _check_int(name: str, value) -> None:
@@ -96,17 +103,53 @@ def _support(rho0: DiscreteDist) -> list[float]:
     return [float(p) for p in rho0.probs if float(p) > 0.0]
 
 
-def _beta_binomial(log_p: float, log_q: float, n: int, log_alpha: float) -> float:
-    """Two-outcome specialization: classes indexed by the success count."""
-    table = _logfact(n)
-    j = np.arange(n + 1)
+def _beta_binomial(
+    log_p: float, log_q: float, n_lo: int, n_hi: int, log_alpha: float
+) -> np.ndarray:
+    """Two-outcome miss at the lengths n_lo, n_lo + 1, ... below n_hi.
+
+    A class is a success count j, with log-probability (n-j)*log_p + j*log_q,
+    linear in j.  Only the counts where that line lies above log(alpha) less
+    1e-9*(|log alpha| + n*|log p_min|), a margin far above rounding, are
+    evaluated; the float mask then picks the classes above alpha.  Kept terms
+    take the float steps of a sweep over every j, and each length's terms are
+    summed in ``np.sum``'s order, so each miss is bit-identical to that
+    sweep's.  Lengths are taken while their cells stay within ``SCAN_CELLS``
+    (one length at least); returns their misses.
+    """
+    ns = np.arange(n_lo, n_hi)
+    slope = log_q - log_p
+    # j*slope > low keeps j; slope is 0 or at least about 1e-16 in size
+    # (p + q = 1), so low / slope stays finite
+    low = (log_alpha - 1e-9 * abs(log_alpha)) - ns * (log_p + 1e-9 * max(-log_p, -log_q))
+    if slope > 0.0:
+        lo = np.minimum(np.maximum(np.floor(low / slope) + 1.0, 0.0), ns + 1.0)
+        width = ns + 1.0 - lo
+    elif slope < 0.0:
+        lo, width = 0.0, np.minimum(np.maximum(np.ceil(low / slope), 0.0), ns + 1.0)
+    else:
+        lo, width = 0.0, np.where(low < 0.0, ns + 1.0, 0.0)
+    cells = width.cumsum()
+    taken = max(1, int(cells.searchsorted(SCAN_CELLS, "right")))
+    shift = (cells - width - lo)[:taken].astype(np.int64)  # cell index - j
+    width = width[:taken].astype(np.int64)
+    table = _logfact(n_lo + taken - 1)
+    n = np.repeat(ns[:taken], width)
+    j = np.arange(len(n)) - np.repeat(shift, width)
     log_mult = table[n] - table[j] - table[n - j]
     log_class = (n - j) * log_p + j * log_q
     mask = log_class > log_alpha
-    if not mask.any():
-        return 0.0
     terms = np.exp(log_mult[mask] + log_class[mask]) * (-np.expm1(log_alpha - log_class[mask]))
-    return float(np.sum(terms))
+    row = n[mask] - n_lo
+    # np.sum adds fewer than 8 values left to right, as add.at does in index
+    # order; longer runs take np.sum on their own slice
+    betas = np.zeros(taken)
+    np.add.at(betas, row, terms)
+    counts = np.bincount(row, minlength=taken)
+    starts = counts.cumsum() - counts
+    for r in np.nonzero(counts >= 8)[0]:
+        betas[r] = np.sum(terms[starts[r] : starts[r] + counts[r]])
+    return betas
 
 
 def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
@@ -171,7 +214,8 @@ def type2_product_exact(
     if method == "binomial" or (method == "auto" and len(probs) == 2):
         if len(probs) != 2:
             raise ValueError("binomial method needs a two-outcome support")
-        return _beta_binomial(math.log(probs[0]), math.log(probs[1]), n, math.log(alpha))
+        log_p, log_q = math.log(probs[0]), math.log(probs[1])
+        return float(_beta_binomial(log_p, log_q, int(n), int(n) + 1, math.log(alpha))[0])
     return _beta_count_vectors(probs, n, alpha)
 
 
@@ -279,7 +323,9 @@ def n_required_empirical(
 
     The miss probability is not proven monotone in n, so the first crossing
     is returned together with the whole scanned curve; None when no crossing
-    occurs by ``n_max``.
+    occurs by ``n_max``.  Two-outcome supports are scanned a chunk of
+    consecutive lengths at a time, over only the classes above alpha,
+    bit-identical to ``type2_product_exact`` one length at a time.
     """
     _check_alpha(alpha)
     if not 0.0 < beta < 1.0:
@@ -289,12 +335,20 @@ def n_required_empirical(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > 100_000:
         raise ResourceLimit(f"n_max capped at 100000 for the exact scan, got {n_max}")
+    n_max = int(n_max)
+    probs = _support(rho0)
     entries = []
-    n_star = None
-    for n in range(1, n_max + 1):
-        value = type2_product_exact(rho0, n, alpha)
-        entries.append((n, value, 0.0))
-        if value <= beta:
-            n_star = n
-            break
-    return n_star, RateCurve(entries=tuple(entries))
+    n, size = 1, SCAN_FIRST
+    while n <= n_max:
+        if len(probs) == 2:
+            log_p, log_q = math.log(probs[0]), math.log(probs[1])
+            values = _beta_binomial(log_p, log_q, n, min(n + size, n_max + 1), math.log(alpha))
+            values, size = values.tolist(), min(2 * size, SCAN_CELLS)
+        else:
+            values = [type2_product_exact(rho0, n, alpha)]
+        for value in values:
+            entries.append((n, value, 0.0))
+            if value <= beta:
+                return n, RateCurve(entries=tuple(entries))
+            n += 1
+    return None, RateCurve(entries=tuple(entries))

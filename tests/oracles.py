@@ -165,6 +165,23 @@ def beta_count_vectors_full(rho: DiscreteDist, n: int, alpha: float) -> float:
     return math.fsum(terms)
 
 
+def beta_binomial_full(log_p: float, log_q: float, n: int, log_alpha: float) -> float:
+    """Two-outcome specialization: classes indexed by the success count.
+
+    Builds every success count j = 0..n and masks to the classes above
+    alpha, the reference for ``rates._beta_binomial``'s cut scan.
+    """
+    table = rates._logfact(n)
+    j = np.arange(n + 1)
+    log_mult = table[n] - table[j] - table[n - j]
+    log_class = (n - j) * log_p + j * log_q
+    mask = log_class > log_alpha
+    if not mask.any():
+        return 0.0
+    terms = np.exp(log_mult[mask] + log_class[mask]) * (-np.expm1(log_alpha - log_class[mask]))
+    return float(np.sum(terms))
+
+
 def sample_many_searchsorted(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
     """``dist.sample_many`` by ``np.searchsorted`` over the float CDF, side right.
 

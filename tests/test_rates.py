@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    beta_binomial_full,
     beta_count_vectors_full,
     random_dist,
     type2_product_mc_blocks,
@@ -202,6 +203,177 @@ class TestPrunedCountVectors:
         wide = type2_product_exact(DiscreteDist.uniform(1100), 1, 0.5 / 1100)
         assert narrow == pytest.approx(0.5, rel=1e-12)
         assert wide == pytest.approx(narrow, rel=1e-12)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _logs(*values):
+    return [math.log(float(v)) for v in values]
+
+
+class TestBinomialCut:
+    """The binomial evaluator visits only the success counts that can exceed
+    alpha and gives the full sweep's miss bit for bit, at one length or over
+    a chunk of lengths."""
+
+    ROWS = [hard_instance(h).probs for h in (0.6, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01)] + [
+        (0.5 + eps, 0.5 - eps) for eps in (1e-16, 1e-14, 1e-10, 1e-6, 1e-3)
+    ] + [(0.5, 0.5)]
+    ALPHAS = [0.3, 0.05, 0.01, 1e-6, 1e-30]
+    N_MAX = 1499
+
+    @staticmethod
+    def chunked(log_p, log_q, log_alpha, n_max):
+        values, n = [], 1
+        while n <= n_max:
+            got = rates._beta_binomial(log_p, log_q, n, n_max + 1, log_alpha).tolist()
+            values += got
+            n += len(got)
+        return values
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_chunks_and_single_lengths(self, row, alpha):
+        # every length 1..1499 through chunks; every 7th through the exact
+        # path's single-length call; both outcome orders
+        for probs in (self.ROWS[row], self.ROWS[row][::-1]):
+            log_p, log_q, log_alpha = _logs(*probs, alpha)
+            want = _hex(beta_binomial_full(log_p, log_q, n, log_alpha) for n in range(1, self.N_MAX + 1))
+            assert _hex(self.chunked(log_p, log_q, log_alpha, self.N_MAX)) == want
+            rho = DiscreteDist(probs=probs)
+            single = range(1, self.N_MAX + 1, 7)
+            got = _hex(type2_product_exact(rho, n, alpha) for n in single)
+            assert got == [want[n - 1] for n in single]
+
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_alpha_at_a_class_probability(self, row):
+        # alpha set on a class's float log-probability and its neighbours:
+        # which counts the float mask keeps then turns on rounding, and on
+        # near-fair rows it can split the counts of one length either way
+        for probs in (self.ROWS[row], self.ROWS[row][::-1]):
+            log_p, log_q = _logs(*probs)
+            for n in (1, 2, 7, 20, 64, 150):
+                j = np.arange(n + 1)
+                for log_class in {float(v) for v in (n - j) * log_p + j * log_q}:
+                    alpha = math.exp(log_class)
+                    for a in (math.nextafter(alpha, 0.0), alpha, math.nextafter(alpha, 1.0)):
+                        if not 0.0 < a < 1.0:
+                            continue
+                        want = beta_binomial_full(log_p, log_q, n, math.log(a))
+                        got = rates._beta_binomial(log_p, log_q, n, n + 1, math.log(a))
+                        assert _hex(got) == _hex([want]), (probs, n, a)
+
+    @pytest.mark.parametrize("cells", [1, 7, 100])
+    def test_cell_budget_splits_chunks(self, cells, monkeypatch):
+        # a small budget cuts each call short (one length at least), and the
+        # values are those of an unbounded chunk
+        monkeypatch.setattr(rates, "SCAN_CELLS", cells)
+        # the fair coin at alpha = 1e-30 keeps all n + 1 counts of lengths
+        # 1..m while m(m + 3)/2 cells fit
+        fair = rates._beta_binomial(math.log(0.5), math.log(0.5), 1, 300, math.log(1e-30))
+        assert len(fair) == max(1, max(m for m in range(15) if m * (m + 3) // 2 <= cells))
+        for probs, alpha in [((0.5, 0.5), 1e-30), (hard_instance(0.3).probs, 1e-6), ((0.4, 0.6), 0.01)]:
+            log_p, log_q, log_alpha = _logs(*probs, alpha)
+            want = _hex(beta_binomial_full(log_p, log_q, n, log_alpha) for n in range(1, 300))
+            assert _hex(self.chunked(log_p, log_q, log_alpha, 299)) == want
+
+    def test_visits_only_cut_counts(self, monkeypatch):
+        # at n = 40 000 on hard_instance(0.001), a few success counts of the
+        # 40 001 can exceed alpha; one cell per count fits a budget of 8
+        monkeypatch.setattr(rates, "SCAN_CELLS", 8)
+        log_p, log_q, log_alpha = _logs(*hard_instance(0.001).probs, 0.01)
+        got = rates._beta_binomial(log_p, log_q, 40_000, 40_002, log_alpha)
+        assert len(got) == 2
+        want = [beta_binomial_full(log_p, log_q, n, log_alpha) for n in (40_000, 40_001)]
+        assert _hex(got) == _hex(want)
+
+
+def _scan_oracle(rho, alpha, beta, n_max):
+    """First crossing and curve by a per-length loop over the oracles."""
+    probs = [float(p) for p in rho.probs if float(p) > 0.0]
+    entries = []
+    for n in range(1, n_max + 1):
+        if len(probs) == 1:
+            value = 1.0 - alpha
+        elif len(probs) == 2:
+            log_p, log_q, log_alpha = _logs(*probs, alpha)
+            value = beta_binomial_full(log_p, log_q, n, log_alpha)
+        else:
+            value = beta_count_vectors_full(rho, n, alpha)
+        entries.append((n, value.hex(), 0.0))
+        if value <= beta:
+            return n, entries
+    return None, entries
+
+
+class TestScanMatchesPerLength:
+    """The chunked first-crossing scan returns the per-length loop's n* and
+    curve, float for float."""
+
+    @staticmethod
+    def assert_same(rho, alpha, beta, n_max):
+        n_star, curve = n_required_empirical(rho, alpha, beta, n_max)
+        got = [(n, value.hex(), stderr) for n, value, stderr in curve.entries]
+        assert (n_star, got) == _scan_oracle(rho, alpha, beta, n_max)
+        return n_star
+
+    @pytest.mark.parametrize("h, n_star", [(0.2, 76), (0.1, 189), (0.05, 448), (0.02, 1335), (0.01, 2986)])
+    def test_hard_instances(self, h, n_star):
+        assert self.assert_same(hard_instance(h), 0.01, 0.01, 4096) == n_star
+
+    @pytest.mark.parametrize(
+        "rho",
+        [DiscreteDist(probs=(0.5, 0.5)), DiscreteDist.point_mass(2, 0), DiscreteDist(probs=(0.6, 0.3, 0.1))],
+        ids=["fair-coin", "point-mass", "three-outcomes"],
+    )
+    def test_other_supports(self, rho):
+        self.assert_same(rho, 0.05, 0.05, 60)
+
+    def test_n_max_inside_a_chunk(self):
+        # the first chunks cover n = 1..16, 17..48, 49..112, 113..240
+        assert self.assert_same(hard_instance(0.1), 0.01, 0.01, 200) == 189
+
+    def test_n_max_below_crossing(self):
+        assert self.assert_same(hard_instance(0.1), 0.01, 0.01, 150) is None
+        _, curve = n_required_empirical(hard_instance(0.1), 0.01, 0.01, 150)
+        assert [n for n, _, _ in curve.entries] == list(range(1, 151))
+
+    def test_small_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(rates, "SCAN_CELLS", 3)
+        assert self.assert_same(hard_instance(0.05), 0.01, 0.01, 4096) == 448
+        self.assert_same(DiscreteDist(probs=(0.5, 0.5)), 1e-6, 1e-9, 40)
+
+
+class TestLongScans:
+    """Crossings in the tens of thousands of tokens (alpha = beta = 0.01)."""
+
+    @pytest.mark.parametrize("h, n_star", [(0.005, 6594), (0.002, 18_506), (0.001, 40_032)])
+    def test_crossing(self, h, n_star):
+        rho = hard_instance(h)
+        got, curve = n_required_empirical(rho, 0.01, 0.01, 100_000)
+        assert got == n_star
+        assert [n for n, _, _ in curve.entries] == list(range(1, n_star + 1))
+        log_p, log_q, log_alpha = _logs(*rho.probs, 0.01)
+        before, at = (beta_binomial_full(log_p, log_q, n, log_alpha) for n in (n_star - 1, n_star))
+        assert before > 0.01 >= at
+        assert _hex([curve.beta_at(n_star - 1), curve.beta_at(n_star)]) == _hex([before, at])
+
+    def test_memory_does_not_grow_with_scan_length(self):
+        code = (
+            "import resource\n"
+            "from wmstat.rates import hard_instance, n_required_empirical\n"
+            "assert n_required_empirical(hard_instance(0.001), 0.01, 0.01, 100_000)[0] == 40_032\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(rates.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 200
 
 
 class TestMonteCarloProduct:
