@@ -271,8 +271,11 @@ def type2_product_mc(
 def hard_instance(h: float) -> DiscreteDist:
     """Two-outcome distribution with entropy h and majority mass >= 1/2.
 
-    This is the instance on which watermark detection is hardest at a given
-    entropy level; it drives the token-rate lower bound.
+    This is the instance on which the token-rate lower bound is tight, not
+    the hardest one at a given entropy: spreading the minority mass over m
+    outcomes needs more tokens (at h = 0.1, alpha = beta = 0.01, n* grows
+    from 189 at m = 1 to 557 at m = 4096), as the alphabet term of the
+    upper bound allows.
     """
     if not 0.0 < h <= LN2:
         raise ValueError(f"entropy must be in (0, ln 2], got {h!r}")

@@ -9,12 +9,16 @@ the all-slack basis is feasible and the box bounds the optimum, so a single
 phase of pivoting from the slack basis always ends at an optimal vertex.
 
 Each upper bound is one more ``<=`` row of the tableau, and the objective's
-reduced costs are its last row, so a pivot is one whole-array update of
-every row the entering column touches.  Bland's rule (first improving
-column; minimum ratio with ties to the smallest basis index) ends cycling,
-and the returned point passes a residual check.  The same tableau code runs
-in float mode (numpy float64, 1e-9 tolerances) and in exact mode
-(``Fraction`` entries in an object array, zero tolerance).
+reduced costs are its last row, so a pivot is one whole-array update of the
+tableau.  Bland's rule (first improving column; minimum ratio with ties to
+the smallest basis index) ends cycling, and the returned point passes a
+bound and residual check.  Float mode pivots on numpy float64 with 1e-9
+tolerances.  Exact mode pivots on Python integers with zero tolerance, by
+integer-preserving elimination (Edmonds 1967; Bareiss 1968): each row is
+scaled to integers by the LCM of its denominators, and all rows share one
+positive divisor, the last pivot element, so the entries stay integers and
+no gcd is taken while pivoting.  It takes the pivots ``Fraction`` arithmetic
+would take and returns the vertex and objective as ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ class LpSolution:
     x: tuple
     objective: float
     status: str = OPTIMAL  # every LpProblem has an optimum
+    pivots: int = 0  # simplex pivots taken to reach x
 
 
 def _leaving_row(tableau, basis, col: int, tol) -> int:
@@ -75,28 +80,53 @@ def _leaving_row(tableau, basis, col: int, tol) -> int:
     rows = np.flatnonzero(tableau[:-1, col] > tol)
     if not len(rows):
         raise AssertionError(f"no leaving row for column {col}: the box bounds every LpProblem")
-    ratios = tableau[rows, -1] / tableau[rows, col]
-    ties = rows[ratios == ratios.min()]
-    return ties[np.argmin(basis[ties])]
+    if tableau.dtype != object:
+        ratios = tableau[rows, -1] / tableau[rows, col]
+        ties = rows[ratios == ratios.min()]
+        return ties[np.argmin(basis[ties])]
+    # integer rows: the ratio T[i, -1] / T[i, col] (row i's positive divisor
+    # cancels), compared by cross-multiplying
+    best = rows[0]
+    for i in rows[1:]:
+        left, right = tableau[i, -1] * tableau[best, col], tableau[best, -1] * tableau[i, col]
+        if left < right or left == right and basis[i] < basis[best]:
+            best = i
+    return best
 
 
-def _pivot(tableau, basis, row: int, col: int) -> None:
+def _pivot(tableau, row: int, col: int) -> None:
     """Divide the pivot row, then clear ``col`` from every other row, objective included."""
     tableau[row] /= tableau[row, col]
     rows = np.flatnonzero(tableau[:, col])
     rows = rows[rows != row]
     tableau[rows] -= np.outer(tableau[rows, col], tableau[row])
-    basis[row] = col
+
+
+def _pivot_integer(tableau, divisor: int, row: int, col: int) -> int:
+    """Integer-preserving pivot; returns the new common divisor, the pivot element ``p``.
+
+    Every other row becomes ``(p T_i - T_i[col] T_row) // divisor``, an exact
+    division by Sylvester's identity (rows with a zero in ``col`` are only
+    rescaled), and the pivot row keeps its integers.
+    """
+    p, kept = tableau[row, col], tableau[row].copy()
+    rows = np.flatnonzero(tableau[:, col])
+    factors = tableau[rows, col]
+    tableau *= p
+    tableau[rows] -= np.outer(factors, kept)
+    tableau //= divisor
+    tableau[row] = kept
+    return p
 
 
 def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Optimal vertex of ``problem``.
 
-    In exact mode all data is converted to ``Fraction`` and comparisons use
-    zero tolerance, so the returned vertex is exact.
+    In exact mode all data is read as ``Fraction`` and comparisons use zero
+    tolerance, so the returned vertex and objective are exact ``Fraction``s.
     """
     number = Fraction if exact else float
-    tol = Fraction(0) if exact else FLOAT_TOL
+    tol = 0 if exact else FLOAT_TOL
     dtype = object if exact else np.float64
     n = problem.n_vars
     a = np.array(
@@ -115,24 +145,45 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     tableau[np.arange(m), n + np.arange(m)] = number(1)
     tableau[:m, -1] = np.concatenate([b, hi])
     tableau[m, :n] = [-number(c) for c in problem.objective]
+    denominator = 1  # x = X / denominator; exact mode makes it the last pivot element
+    if exact:
+        # row i times s_i, the LCM of its denominators; its true entries are
+        # then T[i, j] / (denominator * s_i), both factors positive, and s_i
+        # is 1 from row i's first pivot on
+        scales = [math.lcm(*(f.denominator for f in r)) for r in tableau]
+        tableau = np.array(
+            [[f.numerator * (s // f.denominator) for f in r] for r, s in zip(tableau, scales)],
+            dtype=object,
+        )
+        a, b = tableau[:n_rows, :n].copy(), tableau[:n_rows, -1].copy()  # constraint i times s_i
     basis = np.arange(n, n + m)
 
+    pivots = 0
     while True:
         improving = np.flatnonzero(tableau[m, :-1] < -tol)
         if not len(improving):
             break
         col = improving[0]
-        _pivot(tableau, basis, _leaving_row(tableau, basis, col, tol), col)
+        row = _leaving_row(tableau, basis, col, tol)
+        if exact:
+            denominator = _pivot_integer(tableau, denominator, row, col)
+        else:
+            _pivot(tableau, row, col)
+        basis[row] = col
+        pivots += 1
 
-    y = np.full(n + m, number(0), dtype=dtype)
-    y[basis] = tableau[:m, -1]
-    x = y[:n]
-    if (x < -tol).any() or (x > hi + tol).any():
+    # x = X / denominator, since a row with a variable basic has been a pivot
+    # row (s_i = 1); the checks compare positive multiples of both sides
+    X = np.zeros(n, dtype=dtype)
+    structural = basis < n
+    X[basis[structural]] = tableau[:m, -1][structural]
+    if (X < -tol).any() or (X > hi * denominator + tol).any():
         raise AssertionError("solution violates its bounds")
-    excess = a @ x - b
+    excess = a @ X - b * denominator
     if (excess > tol).any():
-        raise AssertionError(f"solution violates a constraint by {float(excess.max())!r}")
-    obj = sum(number(c) * v for c, v in zip(problem.objective, x))
+        raise AssertionError(f"solution violates constraint {int(np.argmax(excess))}")
     if exact:
-        return LpSolution(x=tuple(x), objective=obj)
-    return LpSolution(x=tuple(x.tolist()), objective=float(obj))
+        x = tuple(Fraction(v, denominator) for v in X)
+        return LpSolution(x, Fraction(tableau[m, -1], denominator * scales[m]), pivots=pivots)
+    obj = sum(float(c) * v for c, v in zip(problem.objective, X))
+    return LpSolution(x=tuple(X.tolist()), objective=float(obj), pivots=pivots)

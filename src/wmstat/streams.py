@@ -80,7 +80,11 @@ def substream_uniforms(seeds, path, n: int) -> np.ndarray:
 
 def substream_keys(seeds, path) -> np.ndarray:
     """``[B]`` int64 keys; entry r is ``substream(seeds[r], *path[:][r]).integers(1 << 62)``."""
-    return np.array([gen.integers(1 << 62) for gen in substreams(seeds, path)], dtype=np.int64)
+    # integers(1 << 62) draws one 64-bit word w and returns (w * 2**62) >> 64
+    # (Lemire's method), which never rejects when the range divides 2**64: it
+    # is w >> 2, read here from the raw word without the bounded-draw call
+    keys = [gen.bit_generator.random_raw() >> 2 for gen in substreams(seeds, path)]
+    return np.array(keys, dtype=np.int64)
 
 
 def map_trials(fn: Callable[[int], T], n_trials: int) -> list[T]:

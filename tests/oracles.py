@@ -1,9 +1,10 @@
 """Independent oracles the tests check library results against.
 
 Everything here is deliberately brute force: Pascal's recurrence, exhaustive
-vertex enumeration, grid search over perturbation balls, pairwise Hamming
-scans, exact-rational re-summation, one-token-at-a-time samplers, a max-flow
-search that scans until it dequeues a node next to the sink.  None of it
+vertex enumeration, a simplex that pivots on ``Fraction`` entries, grid
+search over perturbation balls, pairwise Hamming scans, exact-rational
+re-summation, one-token-at-a-time samplers, a max-flow search that scans
+until it dequeues a node next to the sink.  None of it
 shares code paths with the library, except that ``max_flow_fifo`` works on a
 ``FlowNetwork``'s edge lists with the library's float cutoff, ``ump_oracle``
 solves its exhaustive LP with the library's simplex (itself checked against
@@ -32,7 +33,7 @@ from wmstat.agnostic import integrality_check
 from wmstat.dist import DiscreteDist, ResourceLimit, sample
 from wmstat.flow import FLOAT_CUTOFF, FlowNetwork
 from wmstat.lm import ToyLM
-from wmstat.simplex import LpProblem, simplex_solve
+from wmstat.simplex import LpProblem, LpSolution, simplex_solve
 from wmstat.streams import substream
 
 ORACLE_MAX_OUTCOMES = 4
@@ -80,6 +81,49 @@ def vertex_enumeration_optimum(problem: LpProblem) -> float | None:
             if best is None or value > best:
                 best = value
     return best
+
+
+def simplex_rational(problem: LpProblem) -> tuple[LpSolution, int]:
+    """Exact-mode simplex pivoting on ``Fraction`` entries; the solution and its tied ratio tests.
+
+    The path ``simplex_solve(problem, exact=True)`` must take.  It uses the
+    same tableau: the constraint rows, one ``x_j <= hi_j`` row per variable,
+    then the objective's reduced costs; columns are the variables, one slack
+    per row and the right-hand side.  It pivots by Bland's rule: the first
+    column with a negative reduced cost enters, and the row of minimum ratio
+    leaves, ties going to the smallest basis index.  Each pivot divides the
+    pivot row by ``Fraction`` arithmetic and clears the column from the
+    other rows.  The second value counts the pivots whose minimum ratio was
+    attained by more than one row.
+    """
+    n = problem.n_vars
+    rows = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in problem.constraints]
+    for j, (_, hi) in enumerate(problem.bounds):
+        rows.append(([Fraction(int(i == j)) for i in range(n)], Fraction(hi)))
+    m = len(rows)
+    table = [a + [Fraction(int(i == r)) for i in range(m)] + [b] for r, (a, b) in enumerate(rows)]
+    table.append([-Fraction(c) for c in problem.objective] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+    pivots = ties = 0
+    while (col := next((j for j in range(n + m) if table[m][j] < 0), None)) is not None:
+        ratios = {r: table[r][-1] / table[r][col] for r in range(m) if table[r][col] > 0}
+        least = min(ratios.values())
+        tied = [r for r, ratio in ratios.items() if ratio == least]
+        ties += len(tied) > 1
+        row = min(tied, key=basis.__getitem__)
+        table[row] = [v / table[row][col] for v in table[row]]
+        for r in range(m + 1):
+            f = table[r][col]
+            if r != row and f:
+                table[r] = [v - f * w for v, w in zip(table[r], table[row])]
+        basis[row] = col
+        pivots += 1
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = table[r][-1]
+    objective = sum(Fraction(c) * v for c, v in zip(problem.objective, x))
+    return LpSolution(x=tuple(x), objective=objective, pivots=pivots), ties
 
 
 def grid_search_distortion(probs, alpha: float, eps: float, step: float = 0.005) -> float:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import random_dist, vertex_enumeration_optimum
+from oracles import random_dist, simplex_rational, vertex_enumeration_optimum
 from wmstat.dist import DiscreteDist
-from wmstat.robust import PerturbationGraph, robust_lp_build
+from wmstat.robust import PerturbationGraph, hamming_graph, robust_lp_build
 from wmstat.simplex import LpProblem, LpSolution, simplex_solve
 
 
@@ -15,6 +15,7 @@ def test_single_variable():
     s = simplex_solve(p)
     assert s.status == "optimal"
     assert s.objective == pytest.approx(1.0, abs=1e-12)
+    assert s.pivots == 1
 
 
 def test_two_variables_shared_budget():
@@ -52,15 +53,22 @@ def test_exact_mode_returns_fractions():
     assert s.objective == Fraction(5)
 
 
-def test_exact_mode_on_float_robust_lps():
-    # float coefficients straight from robust_lp_build: the residual check
-    # must multiply them by the exact point in exact arithmetic
+def seeded_robust_lps(include_sum_row=None):
+    """The 40 seeded k = 8 robust LPs; the sum row on odd ones, or as given."""
     rng = np.random.default_rng(8)
     for i in range(40):
         rho = DiscreteDist(probs=random_dist(rng, 8))
         alpha = float(rng.uniform(0.05, 0.6))
         edges = [(u, v) for u in range(8) for v in range(8) if u != v and rng.random() < 0.4]
-        p = robust_lp_build(rho, alpha, PerturbationGraph.from_edges(8, edges), bool(i % 2))
+        graph = PerturbationGraph.from_edges(8, edges)
+        sum_row = bool(i % 2) if include_sum_row is None else include_sum_row
+        yield robust_lp_build(rho, alpha, graph, sum_row)
+
+
+def test_exact_mode_on_float_robust_lps():
+    # float coefficients straight from robust_lp_build: the residual check
+    # must multiply them by the exact point in exact arithmetic
+    for p in seeded_robust_lps():
         exact = simplex_solve(p, exact=True)
         assert exact.status == "optimal"
         assert float(exact.objective) == pytest.approx(simplex_solve(p).objective, abs=1e-9)
@@ -83,6 +91,63 @@ def test_exact_matches_float_on_robust_lp():
     )
     approx = simplex_solve(p)
     assert float(exact.objective) == pytest.approx(approx.objective, abs=1e-12)
+
+
+# x_0 enters first and leaves at once through its bound row: a degenerate pivot
+UPPER_BOUND_ZERO = LpProblem(
+    objective=(1, 2), constraints=(((1, 1), 1),), bounds=((0, 0), (0, Fraction(1, 3)))
+)
+ZERO_OBJECTIVE = LpProblem(
+    objective=(0, 0), constraints=(((1, -1), Fraction(1, 2)),), bounds=((0, 1), (0, 1))
+)
+
+
+def rational_hamming_lp(spec, alpha, uniform: bool):
+    """Robust LP over ``hamming_graph(*spec)``; ρ is uniform or from seeded integer weights."""
+    graph = hamming_graph(*spec)
+    rng = np.random.default_rng(graph.n)
+    weights = [1] * graph.n if uniform else rng.integers(1, 50, size=graph.n).tolist()
+    rho = DiscreteDist(probs=tuple(Fraction(w, sum(weights)) for w in weights))
+    return robust_lp_build(rho, alpha, graph)
+
+
+def exact_identity_cases():
+    for sum_row in (False, True):
+        for i, p in enumerate(seeded_robust_lps(sum_row)):
+            yield pytest.param(p, id=f"k8-{i}-sum{int(sum_row)}")
+    for spec in ((2, 4, 1), (2, 4, 2)):
+        for alpha in (Fraction(1, 20), Fraction(1, 4)):
+            problem = rational_hamming_lp(spec, alpha, False)
+            yield pytest.param(problem, id="hamming-%d-%d-%d-" % spec + f"alpha{float(alpha)}")
+    yield pytest.param(UPPER_BOUND_ZERO, id="upper-bound-0")
+    yield pytest.param(ZERO_OBJECTIVE, id="zero-objective")
+
+
+@pytest.mark.parametrize("problem", exact_identity_cases())
+def test_exact_mode_takes_the_rational_path(problem):
+    # the integer tableau must take the pivots the Fraction tableau takes
+    # and read out the same canonical Fractions
+    got = simplex_solve(problem, exact=True)
+    want, _ = simplex_rational(problem)
+    assert got.x == want.x
+    assert got.objective == want.objective
+    assert got.pivots == want.pivots
+    assert all(type(v) is Fraction for v in (*got.x, got.objective))
+
+
+def test_exact_mode_breaks_ratio_ties_as_the_rational_path():
+    problem = rational_hamming_lp((2, 3, 1), Fraction(1, 4), True)
+    want, ties = simplex_rational(problem)
+    assert ties > 0  # the case is only a tie-break test while some ratio test ties
+    got = simplex_solve(problem, exact=True)
+    assert (got.x, got.objective, got.pivots) == (want.x, want.objective, want.pivots)
+
+
+def test_edge_lps_pivot_as_expected():
+    s = simplex_solve(UPPER_BOUND_ZERO, exact=True)
+    assert (s.x, s.objective, s.pivots) == ((0, Fraction(1, 3)), Fraction(2, 3), 2)
+    s = simplex_solve(ZERO_OBJECTIVE, exact=True)
+    assert (s.x, s.objective, s.pivots) == ((0, 0), 0, 0)
 
 
 class TestAgainstVertexOracle:
