@@ -3,13 +3,12 @@
 Distributions are plain tuples of outcome probabilities indexed by outcome id
 0..k-1.  Everything downstream (couplings, rate bounds, schemes) builds on the
 handful of functions here: entropy and its binary inverse, total-variation
-distance, exact binomial coefficients, and seeded sampling.
+distance, exact binomial coefficients, and the rules that make uniforms tokens.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -179,36 +178,25 @@ def _cdf_of(probs: tuple) -> tuple[float, ...]:
     return tuple(cum)
 
 
-def sample(d: DiscreteDist, rng: np.random.Generator) -> int:
-    """Draw one outcome id; deterministic given the generator state."""
-    return int(bisect_right(_cdf_of(d.probs), rng.random()))
-
-
-@lru_cache(maxsize=4096)
-def _search_table(probs: tuple) -> np.ndarray:
-    """The k - 1 interior CDF values, padded with inf to 2**m - 1, m = ceil(log2 k)."""
-    inner = _cdf_of(probs)[:-1]
-    table = np.full((1 << len(inner).bit_length()) - 1, np.inf)
-    table[: len(inner)] = inner
+def padded(values) -> np.ndarray:
+    """Sorted ``values``, read-only, padded with inf to 2**len(values).bit_length() - 1 entries."""
+    table = np.full((1 << len(values).bit_length()) - 1, np.inf)
+    table[: len(values)] = values
     table.flags.writeable = False
     return table
 
 
-def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` i.i.d. draws from ``d`` as an int64 array, one uniform each.
+def search(table: np.ndarray, u) -> np.ndarray:
+    """The count of ``table`` entries at or below each uniform of ``u``, as int64.
 
-    Draw i counts the CDF entries at or below ``rng.random(size)[i]``, as
-    ``sample`` does; the last entry is at least 1, so only the k - 1 interior
-    ones can count.  A branchless binary search over them, padded with inf to
-    2**m - 1 entries, finds the count in m = ceil(log2 k) whole-array compare
-    passes: the first compares with one scalar, each later one gathers the
-    entry halfway through the bracket each draw has narrowed to.  Memory is a
-    few arrays of ``size`` entries, so callers bound it by the size they ask
-    for: ``rates.type2_product_mc`` draws in chunks of ``MC_CHUNK``.
+    The token rule for laws tabled once: ``sample`` searches a CDF's interior
+    entries, ``ToyLM.sample_paths`` a model's distinct CDF values.  ``table``
+    is sorted and ``padded`` to 2**m - 1 entries, so a branchless binary search
+    finds every count in m whole-array compare passes: the first compares with
+    one scalar, each later one gathers the entry halfway through the bracket
+    each uniform has narrowed to.  Memory is a few arrays the shape of ``u``.
     """
-    table = _search_table(d.probs)
-    u = rng.random(size)
-    draws = np.zeros(size, np.int64)
+    draws = np.zeros(np.shape(u), np.int64)
     step = (len(table) + 1) >> 1
     if step:
         np.multiply(u >= table[step - 1], step, out=draws)
@@ -217,3 +205,27 @@ def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndar
         draws += (table[draws + (step - 1)] <= u) * step
         step >>= 1
     return draws
+
+
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray, side: str) -> np.ndarray:
+    """The token rule for CDF rows computed at each step: per row i, the count of the
+    k - 1 interior entries of ``cdf[i]`` at or below ``u[i]`` (side right) or below it (left)."""
+    below = cdf[:, :-1] <= u[:, None] if side == "right" else cdf[:, :-1] < u[:, None]
+    return below.sum(axis=1)
+
+
+@lru_cache(maxsize=4096)
+def _search_table(probs: tuple) -> np.ndarray:
+    """The k - 1 interior CDF values, ``padded``: the last is at least 1, above any uniform."""
+    return padded(_cdf_of(probs)[:-1])
+
+
+def sample(d: DiscreteDist, rng: np.random.Generator) -> int:
+    """Draw one outcome id; deterministic given the generator state."""
+    return int(search(_search_table(d.probs), rng.random()))
+
+
+def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws as ``sample`` makes them, as int64; callers bound the memory by
+    ``size``: ``rates.type2_product_mc`` draws in chunks of ``MC_CHUNK``."""
+    return search(_search_table(d.probs), rng.random(size))

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import DiscreteDist, _cdf_of, parse_field, read_records
+from .dist import DiscreteDist, _cdf_of, padded, parse_field, read_records, search
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.lm.sample
 
 
@@ -25,9 +25,9 @@ class ChainTables(NamedTuple):
     Row t is the law of the token after token t; row V, the initial law.  CDF
     rows are ``dist._cdf_of`` (last entry guarded up to 1) and log rows come
     from ``math.log``, so table lookups give the same bits as the per-token
-    calls on the ``DiscreteDist`` rows.  ``breaks`` are the sorted distinct
-    CDF values, and ``draw[s, r]`` is the token row s yields for a uniform
-    with r breaks <= it, so that rank settles every CDF comparison.
+    calls on the ``DiscreteDist`` rows.  ``breaks`` are the sorted distinct CDF
+    values, ``dist.padded``, and ``draw[s, r]`` (the smallest dtype holding
+    V - 1) is the token row s yields for a uniform with r breaks <= it.
     """
 
     probs: np.ndarray
@@ -35,12 +35,6 @@ class ChainTables(NamedTuple):
     logp: np.ndarray
     breaks: np.ndarray
     draw: np.ndarray
-
-
-def inverse_cdf(cdf: np.ndarray, u: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(cdf[i], u[i], side)`` for each non-decreasing row i."""
-    below = cdf <= u[:, None] if side == "right" else cdf < u[:, None]
-    return below.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -71,31 +65,31 @@ class ToyLM:
         logp = [[math.log(p) if p > 0.0 else -math.inf for p in row] for row in probs.tolist()]
         cdf = np.array([_cdf_of(row.probs) for row in rows])
         breaks = np.unique(cdf)
-        edges = np.concatenate([[-math.inf], breaks])  # rank 0: no CDF value <= u
-        draw = np.array([np.searchsorted(row, edges, side="right") for row in cdf])
-        return ChainTables(probs=probs, cdf=cdf, logp=np.array(logp), breaks=breaks, draw=draw)
+        # draw[s, r]: row s's interior entries of rank <= r (no uniform passes the last)
+        draw = np.zeros((len(rows), len(breaks) + 1), np.min_scalar_type(self.vocab_size - 1))
+        np.add.at(draw, (np.arange(len(rows))[:, None], search(padded(breaks), cdf[:, :-1])), 1)
+        np.cumsum(draw, axis=1, dtype=draw.dtype, out=draw)
+        return ChainTables(probs=probs, cdf=cdf, logp=np.array(logp), breaks=padded(breaks), draw=draw)
 
     def paths(self, count: int, n: int, step: Callable[[int, np.ndarray], np.ndarray]):
-        """``count`` token paths of length ``n`` as an int array ``[count, n]``.
+        """``count`` token paths of length ``n`` as an int64 array ``[count, n]``.
 
         The one Markov sampling loop, vectorised across paths: ``step(j, prev)``
         returns the tokens at position j of every path from the tables row of
-        the previous token (row V at j = 0); in ``walk`` a step is one gather.
+        the previous token (row V at j = 0).
         """
-        tokens = np.empty((count, n), dtype=np.int64)
+        tokens = np.empty((n, count), dtype=np.int64)  # position-major: prev is a contiguous row
         prev = np.full(count, self.vocab_size)
         for j in range(n):
-            prev = tokens[:, j] = step(j, prev)
-        return tokens
-
-    def walk(self, draw: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """``paths`` whose token at position j is ``draw[prev, ranks[path, j]]``: one gather a step."""
-        return self.paths(len(ranks), ranks.shape[1], lambda j, prev: draw[prev, ranks[:, j]])
+            tokens[j] = step(j, prev)
+            prev = tokens[j]
+        return np.ascontiguousarray(tokens.T)
 
     def sample_paths(self, us: np.ndarray) -> np.ndarray:
-        """Model paths by inverse transform, one uniform ``us[path, j]`` per token, ranked up front."""
-        tables = self.tables
-        return self.walk(tables.draw, np.searchsorted(tables.breaks, us, side="right"))
+        """Model paths by inverse transform, one uniform ``us[path, j]`` per token, each
+        ranked among ``breaks`` up front so that a step is one ``draw`` gather."""
+        draw, ranks = self.tables.draw, search(self.tables.breaks, us)
+        return self.paths(len(us), us.shape[1], lambda j, prev: draw[prev, ranks[:, j]])
 
     def step_logprobs(self, paths: np.ndarray) -> np.ndarray:
         """``[count, n+1]``: 0.0, then each token's log-probability given the token before."""

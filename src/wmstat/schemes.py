@@ -22,11 +22,11 @@ Every scheme works on a batch of keys in three steps: ``keyed`` derives the
 draws a detector recomputes from each key, ``sample`` generates one token path
 per key through the model's one Markov sampler (``ToyLM.paths``), and ``test``
 detects, each for the keys ``seeds`` names: an int64 array in the estimates,
-``[key.seed]`` per key.  Soft red list and ITS supply a per-position rule;
-model draws, keyed binary's included, are ranked up front so that a step is
-one table gather (``ToyLM.walk``).  A detector recomputes everything from the
-key except keyed binary's start index, the only region description (``meta``)
-a generation hands on, and Type I trials compute only that.  Per-key
+``[key.seed]`` per key.  Soft red list and ITS draw from rows computed at each
+step (``dist.inverse_cdf``); from its start index on, keyed binary draws 1 iff
+its keyed uniform is <= p1.  A detector recomputes everything from the key
+except keyed binary's start index, the only region description (``meta``) a
+generation hands on, and Type I trials compute only that.  Per-key
 ``generate``/``detect`` are the batch of one and the error estimates run
 fixed-size blocks of trials.  A batch draws each stream domain's uniforms, and
 the estimates their trial keys and null text, for all its paths at once
@@ -45,9 +45,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import _check_alpha
+from .dist import _check_alpha, inverse_cdf
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.sample
-from .lm import ToyLM, inverse_cdf
+from .lm import ToyLM
 from .streams import map_trials, substream_keys, substream_uniforms, substreams
 from .streams import substream  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.substream
 
@@ -244,7 +244,7 @@ class SoftRedList(_Scheme):
         def boosted(j: int, prev: np.ndarray) -> np.ndarray:
             rows = probs[prev]
             cdf = np.cumsum(np.where(masks[:, j], rows * boost, rows), axis=1)
-            return np.minimum(inverse_cdf(cdf, us[:, j] * cdf[:, -1], "right"), cfg.vocab_size - 1)
+            return inverse_cdf(cdf, us[:, j] * cdf[:, -1], "right")
 
         return lm.paths(len(seeds), cfg.n, boosted), self.meta(lm, seeds, masks)
 
@@ -287,32 +287,25 @@ class ChristBinary(_Scheme):
         return substream_uniforms(seeds, (_D_CHRIST_U,), n)
 
     def _unkeyed(self, lm: ToyLM, seeds) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's model ranks of its unkeyed draws and its start index: surprisal
-        accrued in position order never falls, so the keyed positions are a suffix."""
+        """Each key's unkeyed model path and its start index: surprisal accrued in
+        position order never falls, so the keyed positions are a suffix."""
         if lm.vocab_size != 2:
             raise ValueError("this scheme needs a binary model")
-        tables = lm.tables
-        prefix_us = substream_uniforms(seeds, (_D_PROVIDER,), self.cfg.n)
-        ranks = np.searchsorted(tables.breaks, prefix_us, side="right")
-        accrued = np.subtract.accumulate(lm.step_logprobs(lm.walk(tables.draw, ranks)), axis=1)
-        return ranks, np.count_nonzero(accrued[:, :-1] < self.cfg.entropy_threshold, axis=1)
+        walk = lm.sample_paths(substream_uniforms(seeds, (_D_PROVIDER,), self.cfg.n))
+        accrued = np.subtract.accumulate(lm.step_logprobs(walk), axis=1)
+        return walk, np.count_nonzero(accrued[:, :-1] < self.cfg.entropy_threshold, axis=1)
 
     def meta(self, lm: ToyLM, seeds, us: np.ndarray) -> list:
         return self._unkeyed(lm, seeds)[1].tolist()
 
     def sample(self, lm: ToyLM, seeds, us: np.ndarray):
-        """The prefix, then tokens ``u <= p1[prev]``, u ranked among the ``p1`` values
-        in draw-table columns after the model's."""
-        ranks, starts = self._unkeyed(lm, seeds)
-        model_draw, p1 = lm.tables.draw, lm.tables.probs[:, 1]
-        levels = np.unique(p1)
-        # token 1 iff p1[prev] >= u iff fewer than its place in levels lie below u
-        keyed_draw = np.searchsorted(levels, p1)[:, None] >= np.arange(len(levels) + 1)
-        draw = np.concatenate([model_draw, keyed_draw], axis=1)
+        """The unkeyed path before the start, then tokens ``u <= p1[prev]``."""
+        walk, starts = self._unkeyed(lm, seeds)
+        probs = lm.tables.probs
         since = np.arange(self.cfg.n) - starts[:, None]  # keyed draws used before position j
         keyed_u = np.take_along_axis(us, np.maximum(since, 0), axis=1)
-        keyed_ranks = model_draw.shape[1] + np.searchsorted(levels, keyed_u, side="left")
-        return lm.walk(draw, np.where(since >= 0, keyed_ranks, ranks)), starts.tolist()
+        return lm.paths(len(seeds), self.cfg.n, lambda j, prev: np.where(
+            since[:, j] >= 0, keyed_u[:, j] <= probs[prev, 1], walk[:, j])), starts.tolist()
 
     def test(self, lm: ToyLM, seeds, us: np.ndarray, tokens: np.ndarray, meta):
         cfg = self.cfg
@@ -416,7 +409,7 @@ class InverseTransform(_Scheme):
         def permuted(j: int, prev: np.ndarray) -> np.ndarray:
             """Inverse transform through the CDF taken in permuted rank order."""
             cum = np.cumsum(probs[prev[:, None], perms], axis=1)
-            return perms[paths, np.minimum(inverse_cdf(cum, us[:, j], "left"), cfg.vocab_size - 1)]
+            return perms[paths, inverse_cdf(cum, us[:, j], "left")]
 
         return lm.paths(len(seeds), cfg.n, permuted), self.meta(lm, seeds, xi)
 

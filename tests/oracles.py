@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ import numpy as np
 from wmstat import rates
 from wmstat import schemes as sch
 from wmstat.agnostic import integrality_check
-from wmstat.dist import DiscreteDist, ResourceLimit, sample
+from wmstat.dist import DiscreteDist, ResourceLimit
 from wmstat.flow import FLOAT_CUTOFF, FlowNetwork
 from wmstat.lm import ToyLM
 from wmstat.simplex import LpProblem, LpSolution, simplex_solve
@@ -224,6 +225,14 @@ def beta_binomial_full(log_p: float, log_q: float, n: int, log_alpha: float) -> 
         return 0.0
     terms = np.exp(log_mult[mask] + log_class[mask]) * (-np.expm1(log_alpha - log_class[mask]))
     return float(np.sum(terms))
+
+
+def sample_bisect(d: DiscreteDist, rng: np.random.Generator) -> int:
+    """``dist.sample`` by ``bisect_right`` over the float CDF, last entry raised
+    to at least 1: the number of entries at or below one uniform."""
+    cdf = list(itertools.accumulate(float(p) for p in d.probs))
+    cdf[-1] = max(cdf[-1], 1.0)
+    return bisect_right(cdf, rng.random())
 
 
 def sample_many_searchsorted(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -467,7 +476,7 @@ def sample_sequence_loop(lm, n: int, rng: np.random.Generator) -> tuple[int, ...
     tokens = []
     prev = None
     for _ in range(n):
-        prev = sample(lm.next_dist(prev), rng)
+        prev = sample_bisect(lm.next_dist(prev), rng)
         tokens.append(prev)
     return tuple(tokens)
 
@@ -560,7 +569,7 @@ def christ_generate_loop(scheme, lm, key) -> tuple[tuple[int, ...], int]:
             start = min(start, j)
             tok = 1 if rng_u.random() <= float(row.probs[1]) else 0
         else:
-            tok = sample(row, rng_prefix)
+            tok = sample_bisect(row, rng_prefix)
             accrued += -math.log(float(row.probs[tok]))
         tokens.append(tok)
         prev = tok

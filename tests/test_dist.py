@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pascal_binom, random_dist, sample_many_searchsorted
+from oracles import pascal_binom, random_dist, sample_bisect, sample_many_searchsorted
 from wmstat.dist import (
     LN2,
     DiscreteDist,
@@ -217,12 +217,17 @@ class TestSample:
 
 
 class _FixedUniforms:
-    """Stands in for a generator whose next ``random(size)`` is ``values``."""
+    """Stands in for a generator whose uniforms are ``values``: ``random(size)``
+    returns them all, and each ``random()`` the next one."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
+        self.taken = 0
 
-    def random(self, size):
+    def random(self, size=None):
+        if size is None:
+            self.taken += 1
+            return float(self.values[self.taken - 1])
         assert size == len(self.values)
         return self.values.copy()
 
@@ -236,16 +241,26 @@ def _with_zeros(rng: np.random.Generator, k: int) -> DiscreteDist:
 
 
 class TestSampleManyMatchesSearchsorted:
-    """The branchless search draws exactly what ``np.searchsorted`` would."""
+    """The branchless search draws exactly what ``np.searchsorted`` would, and
+    ``sample``, one uniform a call, what ``bisect_right`` would."""
 
     KS = (1, 2, 3, 4, 5, 8, 9, 17, 1000)
+    ONE_AT_A_TIME = 500  # leading draws also taken by ``sample``
 
     @staticmethod
-    def _same(d: DiscreteDist, seed: int, size: int = 20_000) -> None:
+    def _one_at_a_time(d: DiscreteDist, make_rng, size: int) -> None:
+        rng, oracle_rng = make_rng(), make_rng()
+        got = [sample(d, rng) for _ in range(size)]
+        assert got == [sample_bisect(d, oracle_rng) for _ in range(size)]
+        assert all(type(tok) is int for tok in got)
+
+    @classmethod
+    def _same(cls, d: DiscreteDist, seed: int, size: int = 20_000) -> None:
         got = sample_many(d, substream(seed, 0), size)
         want = sample_many_searchsorted(d, substream(seed, 0), size)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+        cls._one_at_a_time(d, lambda: substream(seed, 0), min(size, cls.ONE_AT_A_TIME))
 
     @pytest.mark.parametrize("k", KS)
     def test_random_rows(self, k):
@@ -284,6 +299,7 @@ class TestSampleManyMatchesSearchsorted:
         got = sample_many(d, _FixedUniforms(u), len(u))
         want = sample_many_searchsorted(d, _FixedUniforms(u), len(u))
         np.testing.assert_array_equal(got, want)
+        self._one_at_a_time(d, lambda: _FixedUniforms(u), len(u))
 
     def test_empty_draw(self):
         assert sample_many(DiscreteDist.uniform(5), substream(1, 0), 0).shape == (0,)

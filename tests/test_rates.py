@@ -346,6 +346,25 @@ class TestScanMatchesPerLength:
         self.assert_same(DiscreteDist(probs=(0.5, 0.5)), 1e-6, 1e-9, 40)
 
 
+def _child_peak_mb(code: str) -> float:
+    """The peak resident set, in MB, of a fresh interpreter that runs ``code``.
+
+    The child reads its own ``VmHWM``: on Linux its ``ru_maxrss`` starts from
+    the peak of the process that forked it, so it would carry this test
+    process's peak, which depends on the tests that ran before.
+    """
+    code += (
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(rates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
 class TestLongScans:
     """Crossings in the tens of thousands of tokens (alpha = beta = 0.01)."""
 
@@ -362,18 +381,10 @@ class TestLongScans:
 
     def test_memory_does_not_grow_with_scan_length(self):
         code = (
-            "import resource\n"
             "from wmstat.rates import hard_instance, n_required_empirical\n"
             "assert n_required_empirical(hard_instance(0.001), 0.01, 0.01, 100_000)[0] == 40_032\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        src = str(Path(rates.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-        assert peak_mb < 200
+        assert _child_peak_mb(code) < 200
 
 
 class TestMonteCarloProduct:
@@ -452,18 +463,10 @@ class TestMonteCarloChunks:
         # one full block at n = 4096 is 2**26 draws: 1.6 GB as whole-block
         # arrays, a few chunks of 2**13 draws here
         code = (
-            "import resource\n"
             "from wmstat.rates import MC_BLOCK, hard_instance, type2_product_mc\n"
             "type2_product_mc(hard_instance(0.1), 4096, 0.01, MC_BLOCK, 1)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        src = str(Path(rates.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-        assert peak_mb < 200
+        assert _child_peak_mb(code) < 200
 
 
 class TestCountArguments:

@@ -514,6 +514,18 @@ class TestBatchedEngine:
         tokens, _ = scheme.sample(lm, [1, 2], (us, perms))
         want = [[its_token((0.5, 0.5), 0.5, perm)] * 3 for perm in perms]
         assert tokens.tolist() == want == [[0, 0, 0], [1, 1, 1]]
+        # keyed binary draws token 1 on a keyed uniform equal to p1
+        christ = ChristBinary(ChristBinaryConfig(n=3, target_alpha=0.1, entropy_threshold=0.0))
+        tokens, starts = christ.sample(lm, [1], np.full((1, 3), 0.5))
+        assert (tokens.tolist(), starts) == ([[1, 1, 1]], [0])
+        # a uniform past the CDF of a row whose float sum falls short of 1 draws
+        # the last token in rank order
+        short = DiscreteDist(probs=(0.5, 0.5 - 1e-13))
+        lm = ToyLM(vocab_size=2, initial=short, transitions=(short, short))
+        us = np.full((2, 3), np.nextafter(1.0, 0.0))
+        tokens, _ = scheme.sample(lm, [1, 2], (us, perms))
+        want = [[its_token(short.probs, us[0, 0], perm)] * 3 for perm in perms]
+        assert tokens.tolist() == want == [[1, 1, 1], [0, 0, 0]]
 
     def test_keyed_binary_never_leaves_prefix_on_point_masses(self):
         lm = MODELS["deterministic2"]
