@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dist import DiscreteDist, ResourceLimit, binom_exact
+from .dist import DiscreteDist, ResourceLimit, _check_int, binom_exact
 from .flow import FlowNetwork
 from .ump import Coupling, Region
 
@@ -43,6 +43,7 @@ class UniformRegionLaw:
     region_size: int
 
     def __post_init__(self):
+        _check_int(n=self.n, region_size=self.region_size)
         if not 1 <= self.region_size <= self.n:
             raise ValueError(f"region size {self.region_size} outside 1..{self.n}")
         if self.n % self.region_size != 0:
@@ -69,6 +70,7 @@ class UniformRegionLaw:
 
 def integrality_check(n: int, alpha: Fraction) -> int:
     """Validate alpha*n and 1/alpha are integers; returns m = alpha*n."""
+    _check_int(n=n)
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")

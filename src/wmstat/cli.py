@@ -106,6 +106,8 @@ def _run_rates(params: dict, seed: int) -> Iterable[tuple]:
 def _run_agnostic(params: dict, seed: int) -> Iterable[tuple]:
     n = params["n"]
     alpha = params["alpha"]
+    if params["instances"] < 0:
+        raise ConfigError(f"instances must be >= 0, got {params['instances']}")
     m = agnostic.integrality_check(n, alpha)
     law = agnostic.UniformRegionLaw(n=n, region_size=m)
     gamma = float(agnostic.max_type2_loss(n, alpha))

@@ -33,6 +33,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
 
 
+def _check_int(**counts) -> None:
+    """Reject each count that is not an int or numpy integer (bool included)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def read_records(path: str | Path) -> list[tuple[int, list[str]]]:
     """(1-based line number, fields) of each non-blank, non-comment line.
 

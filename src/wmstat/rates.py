@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDist, ResourceLimit, _check_alpha, inv_binary_entropy, sample_many
+from .dist import LN2, DiscreteDist, ResourceLimit, _check_alpha, _check_int, inv_binary_entropy, sample_many
 from .streams import substream
 
 MAX_WALK_PREFIXES = 2_000_000
@@ -35,12 +35,6 @@ MC_BLOCK = 1 << 14
 MC_CHUNK = 1 << 13  # draws per sample_many call: the arrays stay small and reused
 SCAN_FIRST = 16  # lengths in the binomial scan's first chunk; each next one doubles
 SCAN_CELLS = 1 << 16  # (length, success count) cells per chunk
-
-
-def _check_int(name: str, value) -> None:
-    """Reject a count that is not an int or numpy integer (bool included)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,7 @@ def type2_product_exact(
     binomial path whenever the support has at most two outcomes.
     """
     _check_alpha(alpha)
-    _check_int("n", n)
+    _check_int(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     probs = _support(rho0)
@@ -233,10 +227,9 @@ def type2_product_mc(
     memory is bounded by the chunk, not by ``MC_BLOCK * n``.
     """
     _check_alpha(alpha)
-    _check_int("n", n)
+    _check_int(n=n, samples=samples)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_int("samples", samples)
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     log_probs = np.array(
@@ -333,7 +326,7 @@ def n_required_empirical(
     _check_alpha(alpha)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta!r}")
-    _check_int("n_max", n_max)
+    _check_int(n_max=n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > 100_000:

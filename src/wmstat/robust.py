@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import DiscreteDist, ResourceLimit, _check_alpha, parse_field, read_records
+from .dist import DiscreteDist, ResourceLimit, _check_alpha, _check_int, parse_field, read_records
 from .simplex import LpProblem, LpSolution, simplex_solve
 from .ump import Coupling, Region
 
@@ -49,14 +49,6 @@ class PerturbationGraph:
 
     def out(self, v: int) -> tuple[int, ...]:
         return self.out_adj[v]
-
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Predecessor lists, by transposing the successor lists."""
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for u, row in enumerate(self.out_adj):
-            for v in row:
-                preds[v].append(u)
-        return tuple(tuple(sorted(p)) for p in preds)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "PerturbationGraph":
@@ -112,6 +104,9 @@ def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
     Vertices are all strings in lexicographic order; the graph is symmetric
     and includes self-loops (distance 0).
     """
+    _check_int(k=k, n=n, c=c)
+    if k < 1 or n < 0 or c < 0:
+        raise ValueError(f"need k >= 1, n >= 0 and c >= 0, got k={k}, n={n}, c={c}")
     n_vertices = k**n
     if n_vertices > MAX_HAMMING_VERTICES:
         raise ResourceLimit(f"{n_vertices} vertices exceed cap {MAX_HAMMING_VERTICES}")
@@ -127,9 +122,7 @@ def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
 def shrinkage(graph: PerturbationGraph, region: Region) -> Region:
     """Outcomes whose every possible perturbation stays inside the region."""
     inside = set(region.members)
-    return Region.of(
-        x for x in range(graph.n) if all(w in inside for w in graph.out(x))
-    )
+    return Region.of(x for x in range(graph.n) if inside.issuperset(graph.out(x)))
 
 
 def robust_lp_build(
@@ -152,19 +145,16 @@ def robust_lp_build(
     _check_alpha(alpha)
     probs = rho.as_floats()
     n = graph.n
-    constraints = []
-    for z, preds in enumerate(graph.in_adj()):
-        row = [0.0] * n
-        for y in preds:
-            row[y] = probs[y]
-        constraints.append((tuple(row), alpha))
+    # row z holds p_y in column y for every edge y -> z
+    constraints: list = [[0.0] * n for _ in range(n)]
+    for y, successors in enumerate(graph.out_adj):
+        for z in successors:
+            constraints[z][y] = probs[y]
+    for z, row in enumerate(constraints):  # one row at a time: no second full copy
+        constraints[z] = (tuple(row), alpha)
     if include_sum_row:
         constraints.append(((1.0,) * n, 1.0))
-    return LpProblem(
-        objective=tuple(probs),
-        constraints=tuple(constraints),
-        bounds=((0.0, 1.0),) * n,
-    )
+    return LpProblem(tuple(probs), tuple(constraints), bounds=((0.0, 1.0),) * n)
 
 
 def robust_optimal_type2(
@@ -204,9 +194,6 @@ def robust_type2_exact(coupling: Coupling, graph: PerturbationGraph) -> float:
     """
     if coupling.k != graph.n:
         raise ValueError(f"coupling has {coupling.k} outcomes, graph has {graph.n}")
-    missed = []
-    for x, region, w in coupling.atoms:
-        inside = set(region.members)
-        if any(y not in inside for y in graph.out(x)):
-            missed.append(w)
-    return math.fsum(missed)
+    return math.fsum(
+        w for x, region, w in coupling.atoms if not set(region.members).issuperset(graph.out(x))
+    )

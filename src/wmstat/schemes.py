@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import _check_alpha, inverse_cdf
+from .dist import _check_alpha, _check_int, inverse_cdf
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.schemes.sample
 from .lm import ToyLM
 from .streams import map_trials, substream_keys, substream_uniforms, substreams
@@ -105,6 +105,7 @@ class _SchemeConfig:
     target_alpha: float
 
     def __post_init__(self):
+        _check_int(n=self.n)
         if self.n < 0:
             raise ValueError(f"length must be >= 0, got {self.n}")
         _check_alpha(self.target_alpha)
@@ -208,8 +209,8 @@ class SoftRedListConfig(_SchemeConfig):
         super().__post_init__()
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"green fraction must be in (0,1), got {self.gamma!r}")
-        if self.delta < 0.0:
-            raise ValueError(f"boost must be >= 0, got {self.delta!r}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"boost must be finite and >= 0, got {self.delta!r}")
         g = self.green_size
         if not 1 <= g <= self.vocab_size - 1:
             raise ValueError(f"green list size {g} degenerate for vocab {self.vocab_size}")
@@ -268,7 +269,7 @@ class ChristBinaryConfig(_SchemeConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.entropy_threshold < 0.0:
+        if not self.entropy_threshold >= 0.0:  # inf is legal: the keyed phase never starts
             raise ValueError(f"entropy threshold must be >= 0, got {self.entropy_threshold!r}")
 
 
@@ -342,6 +343,7 @@ class ItsConfig(_SchemeConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_int(resamples=self.resamples, block_k=self.block_k)
         if self.resamples < 1:
             raise ValueError(f"resamples must be >= 1, got {self.resamples}")
         if self.block_k < 2:
@@ -475,6 +477,7 @@ def _rejections(scheme, lm: ToyLM, trials: int, seed: int, null_text: bool) -> i
     Each trial realizes a region with a fresh keyed run and tests either that
     run's text or, with ``null_text``, model text the key never saw.
     """
+    _check_int(trials=trials, seed=seed)
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     n = scheme.cfg.n

@@ -12,13 +12,14 @@ Each upper bound is one more ``<=`` row of the tableau, and the objective's
 reduced costs are its last row, so a pivot is one whole-array update of the
 tableau.  Bland's rule (first improving column; minimum ratio with ties to
 the smallest basis index) ends cycling, and the returned point passes a
-bound and residual check.  Float mode pivots on numpy float64 with 1e-9
-tolerances.  Exact mode pivots on Python integers with zero tolerance, by
-integer-preserving elimination (Edmonds 1967; Bareiss 1968): each row is
-scaled to integers by the LCM of its denominators, and all rows share one
-positive divisor, the last pivot element, so the entries stay integers and
-no gcd is taken while pivoting.  It takes the pivots ``Fraction`` arithmetic
-would take and returns the vertex and objective as ``Fraction`` values.
+bound and residual check.  Each LP row is read once, into the tableau's
+numbers: float64 in float mode, which pivots with 1e-9 tolerances.  Exact
+mode reads each row into Python integers scaled by the LCM of that row's
+denominators, and pivots with zero tolerance by integer-preserving
+elimination (Edmonds 1967; Bareiss 1968): all rows share one positive
+divisor, the last pivot element, so the entries stay integers and no gcd is
+taken while pivoting.  It takes the pivots ``Fraction`` arithmetic would
+take and returns the vertex and objective as ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -119,50 +120,53 @@ def _pivot_integer(tableau, divisor: int, row: int, col: int) -> int:
     return p
 
 
+def _integer_row(values) -> tuple[list[int], int]:
+    """``values`` times ``s``, the LCM of their denominators, as Python ints; and ``s``."""
+    ratios = [Fraction(v) for v in values]  # numpy integers have no as_integer_ratio
+    s = math.lcm(*(f.denominator for f in ratios))
+    return [int(f.numerator) * (s // f.denominator) for f in ratios], s
+
+
 def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Optimal vertex of ``problem``.
 
-    In exact mode all data is read as ``Fraction`` and comparisons use zero
+    In exact mode all data is read exactly and comparisons use zero
     tolerance, so the returned vertex and objective are exact ``Fraction``s.
     """
-    number = Fraction if exact else float
-    tol = 0 if exact else FLOAT_TOL
-    dtype = object if exact else np.float64
-    n = problem.n_vars
-    a = np.array(
-        [[number(c) for c in row] for row, _ in problem.constraints], dtype=dtype
-    ).reshape(len(problem.constraints), n)
-    b = np.array([number(rhs) for _, rhs in problem.constraints], dtype=dtype)
-    hi = np.array([number(h) for _, h in problem.bounds], dtype=dtype)
-    n_rows = len(a)
+    n, n_rows = problem.n_vars, len(problem.constraints)
     m = n_rows + n  # the constraints, then one x_j <= hi_j row per variable
+    # each LP row read once: a x <= b, then scale_j x_j <= hi_j, then the
+    # objective; exact mode scales row i to integers by s_i, the LCM of its
+    # denominators, which also goes onto its slack
+    if exact:
+        tol, dtype = 0, object
+        rows = [_integer_row((*row, rhs)) for row, rhs in problem.constraints]
+        rows += [_integer_row((h,)) for _, h in problem.bounds] + [_integer_row(problem.objective)]
+        a, rhs = [ints[:-1] for ints, _ in rows[:n_rows]], [ints[-1] for ints, _ in rows[:m]]
+        scale, cost = [s for _, s in rows], rows[m][0]
+    else:
+        tol, dtype = FLOAT_TOL, np.float64
+        a, cost = [row for row, _ in problem.constraints], problem.objective
+        rhs = [b for _, b in problem.constraints] + [h for _, h in problem.bounds]
+        scale = [1.0] * (m + 1)
+    rhs, scale, cost = (np.array(v, dtype=dtype) for v in (rhs, scale, cost))
+    a = np.array(a, dtype=dtype).reshape(n_rows, n)
 
     # columns: the variables, one slack per row, the right-hand side;
     # rows: the m constraint rows, then the objective's reduced costs
     tableau = np.zeros((m + 1, n + m + 1), dtype=dtype)
     tableau[:n_rows, :n] = a
-    tableau[n_rows + np.arange(n), np.arange(n)] = number(1)
-    tableau[np.arange(m), n + np.arange(m)] = number(1)
-    tableau[:m, -1] = np.concatenate([b, hi])
-    tableau[m, :n] = [-number(c) for c in problem.objective]
-    denominator = 1  # x = X / denominator; exact mode makes it the last pivot element
-    if exact:
-        # row i times s_i, the LCM of its denominators; its true entries are
-        # then T[i, j] / (denominator * s_i), both factors positive, and s_i
-        # is 1 from row i's first pivot on
-        scales = [math.lcm(*(f.denominator for f in r)) for r in tableau]
-        tableau = np.array(
-            [[f.numerator * (s // f.denominator) for f in r] for r, s in zip(tableau, scales)],
-            dtype=object,
-        )
-        a, b = tableau[:n_rows, :n].copy(), tableau[:n_rows, -1].copy()  # constraint i times s_i
+    tableau[n_rows + np.arange(n), np.arange(n)] = scale[n_rows:m]
+    tableau[np.arange(m), n + np.arange(m)] = scale[:m]
+    tableau[:m, -1] = rhs
+    tableau[m, :n] = -cost
     basis = np.arange(n, n + m)
 
-    pivots = 0
-    while True:
-        improving = np.flatnonzero(tableau[m, :-1] < -tol)
-        if not len(improving):
-            break
+    # true entries of row i are T[i, j] / (denominator * s_i), both factors
+    # positive; exact mode makes denominator the last pivot element, and s_i
+    # is 1 from row i's first pivot on
+    denominator, pivots = 1, 0
+    while len(improving := np.flatnonzero(tableau[m, :-1] < -tol)):
         col = improving[0]
         row = _leaving_row(tableau, basis, col, tol)
         if exact:
@@ -173,17 +177,16 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         pivots += 1
 
     # x = X / denominator, since a row with a variable basic has been a pivot
-    # row (s_i = 1); the checks compare positive multiples of both sides
+    # row (s_i = 1); the check compares positive multiples of both sides of
+    # every LP row, the constraints and then the upper bounds
     X = np.zeros(n, dtype=dtype)
     structural = basis < n
     X[basis[structural]] = tableau[:m, -1][structural]
-    if (X < -tol).any() or (X > hi * denominator + tol).any():
-        raise AssertionError("solution violates its bounds")
-    excess = a @ X - b * denominator
-    if (excess > tol).any():
-        raise AssertionError(f"solution violates constraint {int(np.argmax(excess))}")
+    excess = np.concatenate([a @ X, X * scale[n_rows:m]]) - rhs * denominator
+    if (X < -tol).any() or (excess > tol).any():
+        raise AssertionError("solution violates x >= 0, a constraint or an upper bound")
     if exact:
         x = tuple(Fraction(v, denominator) for v in X)
-        return LpSolution(x, Fraction(tableau[m, -1], denominator * scales[m]), pivots=pivots)
-    obj = sum(float(c) * v for c, v in zip(problem.objective, X))
-    return LpSolution(x=tuple(X.tolist()), objective=float(obj), pivots=pivots)
+        return LpSolution(x, Fraction(tableau[m, -1], denominator * scale[m]), pivots=pivots)
+    # summed left to right: np.sum's pairwise order would move the last bits
+    return LpSolution(tuple(X.tolist()), float(sum((cost * X).tolist())), pivots=pivots)

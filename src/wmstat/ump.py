@@ -103,7 +103,7 @@ def optimal_distortion(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> Dis
     representative of a generally non-unique argmin.
     """
     _check_alpha(alpha)
-    if eps < 0:
+    if not eps >= 0:  # inf is legal: an unlimited distortion budget
         raise ValueError(f"eps must be >= 0, got {eps!r}")
     probs = list(rho.as_floats())
     donors = sorted(
@@ -140,6 +140,8 @@ def optimal_distortion(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> Dis
 def optimal_type2(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> float:
     """Minimum Type II error of any eps-distorted level-alpha coupling."""
     _check_alpha(alpha)
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
     surplus = clipped_surplus(rho.probs, alpha)
     capacity = math.fsum(max(alpha - float(p), 0.0) for p in rho.probs)
     return max(surplus - min(eps, surplus, capacity), 0.0)

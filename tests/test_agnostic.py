@@ -46,6 +46,11 @@ class TestLossValue:
         with pytest.raises(ValueError):
             integrality_check(3, Fraction(1, 4))  # n < 1/alpha
 
+    @pytest.mark.parametrize("n", [8.5, 8.0, True])
+    def test_outcome_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            max_type2_loss(n, Fraction(1, 4))
+
     def test_limit_in_alpha(self):
         assert loss_limit_gap(Fraction(1, 100), 10_000) <= 0.005
         assert loss_limit_gap(Fraction(1, 2), 4) == pytest.approx(
@@ -68,6 +73,14 @@ class TestRegionLaw:
         law = UniformRegionLaw(n=8, region_size=2)
         assert law.alpha == Fraction(1, 4)
         assert law.n_subsets == 28
+
+    @pytest.mark.parametrize(
+        "n, region_size, message",
+        [(8.0, 2, "n must be an integer"), (8, 2.0, "region_size must be an integer")],
+    )
+    def test_counts_must_be_integers(self, n, region_size, message):
+        with pytest.raises(ValueError, match=message):
+            UniformRegionLaw(n=n, region_size=region_size)
 
     def test_full_set_always(self):
         law = UniformRegionLaw(n=4, region_size=4)

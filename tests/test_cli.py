@@ -90,6 +90,24 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "alpha" in err and "limit" not in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["ump", "--eps", "nan"], "eps must be >= 0, got nan"),
+            (["schemes", "--scheme", "srl", "--trials", "100", "--delta", "nan"], "boost must be finite"),
+            (["schemes", "--scheme", "srl", "--trials", "100", "--delta", "inf"], "boost must be finite"),
+            (["schemes", "--scheme", "christ", "--trials", "100", "--entropy_threshold", "nan"],
+             "entropy threshold"),
+            (["agnostic", "--instances", "-1"], "instances must be >= 0"),
+        ],
+        ids=["ump-eps-nan", "srl-delta-nan", "srl-delta-inf", "christ-threshold-nan", "agnostic-instances"],
+    )
+    def test_bad_parameter_is_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "r.csv"
+        assert main([*args, "--seed", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_key_rejected(self, capsys):
         assert main(["schemes", "--trials", "100", "--workers", "4", "--seed", "1"]) == 2
         assert "workers" in capsys.readouterr().err

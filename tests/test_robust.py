@@ -28,9 +28,15 @@ class TestPerturbationGraph:
         with pytest.raises(ValueError, match="self-loop"):
             PerturbationGraph(out_adj=((0,), (0,)))
 
-    def test_in_adj_transposes(self):
+    def test_lp_row_of_each_outcome_holds_its_predecessors(self):
+        # edges 0 -> 1 and 2 -> 1: row z holds p_y in column y for each edge y -> z
         g = PerturbationGraph.from_edges(3, [(0, 1), (2, 1)])
-        assert g.in_adj() == ((0,), (0, 1, 2), (2,))
+        p = robust_lp_build(DiscreteDist(probs=(0.5, 0.3, 0.2)), 0.25, g)
+        assert p.constraints == (
+            ((0.5, 0.0, 0.0), 0.25),
+            ((0.5, 0.3, 0.2), 0.25),
+            ((0.0, 0.0, 0.2), 0.25),
+        )
 
     def test_complete_and_selfloops(self):
         assert PerturbationGraph.complete(3).out(1) == (0, 1, 2)
@@ -67,12 +73,27 @@ class TestHammingGraph:
 
     def test_symmetry(self):
         g = hamming_graph(3, 2, 1)
-        preds = g.in_adj()
-        assert preds == g.out_adj
+        preds = [[u for u in range(g.n) if v in g.out(u)] for v in range(g.n)]
+        assert tuple(map(tuple, preds)) == g.out_adj
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hamming_graph(10, 5, 1)
+
+    @pytest.mark.parametrize(
+        "k, n, c, message",
+        [
+            (2, 2.5, 1, "n must be an integer"),
+            (2.0, 2, 1, "k must be an integer"),
+            (2, 2, True, "c must be an integer"),
+            (0, 2, 1, "got k=0, n=2, c=1"),
+            (2, -1, 1, "got k=2, n=-1, c=1"),
+            (2, 2, -1, "got k=2, n=2, c=-1"),
+        ],
+    )
+    def test_counts_checked(self, k, n, c, message):
+        with pytest.raises(ValueError, match=message):
+            hamming_graph(k, n, c)
 
     @pytest.mark.parametrize(
         "k,n,c",

@@ -354,6 +354,16 @@ class TestErrorEstimation:
         with pytest.raises(ValueError):
             estimate_errors(scheme, lm, trials=10, seed=1)
 
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [(100.0, 1, "trials must be an integer"), (100, 1.5, "seed must be an integer")],
+    )
+    @pytest.mark.parametrize("estimate", [estimate_type1, estimate_type2, estimate_errors])
+    def test_counts_must_be_integers(self, estimate, trials, seed, message):
+        scheme = SoftRedList(SoftRedListConfig(n=30, target_alpha=0.05, vocab_size=2))
+        with pytest.raises(ValueError, match=message):
+            estimate(scheme, fair_coin_lm(), trials=trials, seed=seed)
+
     def test_deterministic_lm_no_scheme_beats_one_minus_alpha(self):
         lm = deterministic_lm(2)
         alpha, n = 0.05, 30
@@ -736,6 +746,28 @@ class TestSchemeConfigs:
         assert (cfg.n, cfg.target_alpha) == (20, 0.05)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.n = 30
+
+    @pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
+    def test_length_must_be_an_integer(self, config):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer, got 20.5")):
+            config(n=20.5, target_alpha=0.05)
+
+    @pytest.mark.parametrize("field", ["resamples", "block_k"])
+    def test_its_counts_must_be_integers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 9.5"):
+            ItsConfig(n=20, target_alpha=0.05, **{field: 9.5})
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_soft_red_list_boost_must_be_finite(self, delta):
+        with pytest.raises(ValueError, match=re.escape(f"boost must be finite and >= 0, got {delta!r}")):
+            SoftRedListConfig(n=20, target_alpha=0.05, delta=delta)
+
+    def test_keyed_binary_threshold_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="entropy threshold must be >= 0, got nan"):
+            ChristBinaryConfig(n=20, target_alpha=0.05, entropy_threshold=math.nan)
+        # an infinite threshold fails closed: the keyed phase never starts
+        scheme = ChristBinary(ChristBinaryConfig(n=20, target_alpha=0.05, entropy_threshold=math.inf))
+        assert estimate_type2(scheme, fair_coin_lm(), trials=100, seed=3) == (1.0, 0.0)
 
     @pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
     def test_common_checks(self, config):

@@ -189,6 +189,57 @@ class TestAgainstVertexOracle:
             assert simplex_solve(problem).objective == pytest.approx(want, abs=1e-8)
 
 
+def highs_optimum(problem: LpProblem) -> float:
+    """Optimum of ``problem`` by scipy's HiGHS, an independent LP solver."""
+    optimize = pytest.importorskip("scipy.optimize")
+    result = optimize.linprog(
+        -np.array(problem.objective, dtype=float),
+        A_ub=np.array([row for row, _ in problem.constraints], dtype=float),
+        b_ub=np.array([rhs for _, rhs in problem.constraints], dtype=float),
+        bounds=[(float(lo), float(hi)) for lo, hi in problem.bounds],
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("spec", [(2, 6, 1), (2, 8, 1), (2, 6, 2), (3, 4, 1)])
+    def test_hamming_lps(self, spec):
+        graph = hamming_graph(*spec)
+        rng = np.random.default_rng(sum(spec))
+        for _ in range(3):
+            rho = DiscreteDist(probs=tuple(rng.dirichlet(np.ones(graph.n)).tolist()))
+            problem = robust_lp_build(rho, 0.05, graph)
+            assert abs(simplex_solve(problem).objective - highs_optimum(problem)) <= 1e-9
+
+    def test_seeded_robust_lps(self):
+        for problem in seeded_robust_lps():
+            assert abs(simplex_solve(problem).objective - highs_optimum(problem)) <= 1e-9
+
+
+def test_exact_mode_reads_numpy_integers_and_fractions():
+    # every value is read through Fraction (numpy integers have no
+    # as_integer_ratio) into Python ints, so no pivot works in int64
+    big = 10**7
+    plain = LpProblem(
+        objective=(3 * big + 1, 2 * big, big - 7),
+        constraints=(((2 * big, big + 3, big), 4 * big), ((big + 1, 3 * big, 5), 5 * big)),
+        bounds=((0, 2), (0, 3), (0, 1)),
+    )
+    mixed = LpProblem(
+        objective=tuple(np.int64(c) if i % 2 else Fraction(c) for i, c in enumerate(plain.objective)),
+        constraints=tuple(
+            (tuple(np.int64(c) for c in row), Fraction(rhs, 1)) for row, rhs in plain.constraints
+        ),
+        bounds=((np.int64(0), np.int64(2)), (0, Fraction(6, 2)), (Fraction(0), np.int64(1))),
+    )
+    want, got = simplex_solve(plain, exact=True), simplex_solve(mixed, exact=True)
+    assert (got.x, got.objective, got.pivots) == (want.x, want.objective, want.pivots)
+    assert got.pivots > 1
+    assert all(type(v.numerator) is int for v in (*got.x, got.objective))
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         LpProblem(objective=(1.0,), constraints=(((1.0, 2.0), 1.0),), bounds=((0.0, 1.0),))

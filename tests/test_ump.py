@@ -105,6 +105,13 @@ class TestOptimalDistortion:
         with pytest.raises(ValueError):
             optimal_type2(DiscreteDist.uniform(2), 1.0)
 
+    @pytest.mark.parametrize("solve", [optimal_distortion, optimal_type2, ump_coupling])
+    def test_eps_must_not_be_nan(self, solve):
+        rho = DiscreteDist(probs=(0.7, 0.2, 0.1))
+        with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+            solve(rho, 0.3, math.nan)
+        solve(rho, 0.3, math.inf)  # an unlimited budget stays legal
+
 
 class TestUmpCoupling:
     def test_fair_coin_atoms(self):
