@@ -112,6 +112,9 @@ def pad_to_integral(n: int, alpha: Fraction) -> tuple[UniformRegionLaw, Fraction
     both integrality conditions hold; an approximation of the original
     (n, alpha) problem, not an exact reduction.
     """
+    _check_int(n=n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")

@@ -3,11 +3,13 @@
 Usage: ``wmstat <experiment> [--config FILE] [--key value ...] --seed S
 [--out path.csv] [--svg path.svg]``.
 
-Configuration is plain key=value lines; command-line ``--key value`` pairs
-override the file.  Every experiment draws all randomness through
-(seed, stream id) substreams and reduces in fixed order, so a given config
-and seed produce byte-identical CSV on every run.  Exit codes: 0 success,
-1 runtime resource limit, 2 bad configuration or input.
+Config files are plain key=value lines.  Every key, ``seed``, ``out`` and
+``svg`` included, may come from a file or from a ``--key value`` pair; the
+command line wins, and the first file to name a key wins over later ones.
+Every experiment draws all randomness through (seed, stream id) substreams
+and reduces in fixed order, so a given config and seed produce
+byte-identical CSV on every run.  Exit codes: 0 success, 1 runtime resource
+limit, 2 bad configuration or input.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import agnostic, lm as lm_mod, rates, robust, schemes, ump
-from .dist import DiscreteDist, ResourceLimit
+from .dist import DiscreteDist, ResourceLimit, read_lines
 from .plots import svg_line_plot
 from .streams import substream
 
@@ -269,12 +271,9 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
     return pairs
@@ -288,47 +287,28 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
     spec = EXPERIMENTS[name]
 
-    raw: dict[str, str] = {}
-    out = svg = None
-    seed_text = None
-    i = 1
-    while i < len(argv):
-        arg = argv[i]
+    raw: dict[str, str] = {}  # every key, from the command line or a config file
+    args = iter(argv[1:])
+    for arg in args:
         if not arg.startswith("--"):
             raise ConfigError(f"expected --key value pairs, got {arg!r}")
-        key = arg[2:]
-        if i + 1 >= len(argv):
-            raise ConfigError(f"missing value for --{key}")
-        value = argv[i + 1]
-        i += 2
-        if key == "config":
-            file_pairs = load_config_file(value)
-            for k, v in file_pairs.items():
-                raw.setdefault(k, v)  # command line wins over the file
-        elif key == "out":
-            out = Path(value)
-        elif key == "svg":
-            svg = Path(value)
-        elif key == "seed":
-            seed_text = value
+        value = next(args, None)
+        if value is None:
+            raise ConfigError(f"missing value for {arg}")
+        if arg == "--config":
+            for key, text in load_config_file(value).items():
+                raw.setdefault(key, text)  # the command line and earlier files win
         else:
-            raw[key] = value
-    if seed_text is None:
-        seed_text = raw.pop("seed", None)
-    if seed_text is None:
-        raise ConfigError("missing required key 'seed'")
-    try:
-        seed = int(seed_text)
-    except ValueError:
-        raise ConfigError(f"seed must be an integer, got {seed_text!r}") from None
+            raw[arg[2:]] = value
 
+    out, svg = (Path(raw.pop(key)) if key in raw else None for key in ("out", "svg"))
     for path in (out, svg):
         if path is not None and not path.parent.is_dir():
             raise ConfigError(f"cannot write {path}: directory {path.parent} does not exist")
     if svg is not None and spec.plot is None:
         raise ConfigError(f"experiment {name!r} has no plot hint")
 
-    known = {p.name: p for p in spec.params}
+    known = {p.name: p for p in (Param("seed", int, None), *spec.params)}
     params: dict[str, object] = {}
     for key, text in raw.items():
         if key not in known:
@@ -341,11 +321,12 @@ def build_config(argv: list[str]) -> ExperimentConfig:
             params[key] = p.parse(text)
         except (TypeError, ValueError, ZeroDivisionError) as err:
             raise ConfigError(f"bad value for key '{key}': {err}") from None
-    for p in spec.params:
+    for p in known.values():
         if p.name not in params:
             if p.default is None:
                 raise ConfigError(f"missing required key '{p.name}'")
             params[p.name] = p.default
+    seed = params.pop("seed")
     return ExperimentConfig(experiment=name, params=params, seed=seed, out=out, svg=svg)
 
 

@@ -40,13 +40,33 @@ def _check_int(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def read_records(path: str | Path) -> list[tuple[int, list[str]]]:
-    """(1-based line number, fields) of each non-blank, non-comment line.
+def read_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(1-based line number, stripped text) of each non-blank line not opening with '#'.
 
-    Shared by the model and graph file readers.
+    The one line reader of config, model and graph files: ``cli.load_config_file``
+    calls it directly, ``lm.load_lm`` and ``robust.load_graph`` through ``read_header``.
     """
     lines = enumerate(Path(path).read_text().splitlines(), start=1)
-    return [(no, ln.split()) for no, ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    return [(no, text) for no, ln in lines if (text := ln.strip()) and not text.startswith("#")]
+
+
+def read_header(path, kind: str, word: str, minimum: int) -> tuple[int, list[tuple[int, list[str]]]]:
+    """N from a first line ``'<word> N'`` with N >= ``minimum``, and (line number,
+    fields) of each later line; ``kind`` names the file in the empty-file error.
+
+    The header of model (``lm.load_lm``: 'vocab N') and graph
+    (``robust.load_graph``: 'vertices N') files.
+    """
+    records = [(no, text.split()) for no, text in read_lines(path)]
+    if not records:
+        raise ValueError(f"{kind} file {path} is empty; expected '{word} N' first")
+    line, head = records[0]
+    if len(head) != 2 or head[0] != word:
+        raise ValueError(f"first line must be '{word} N', got {' '.join(head)!r}")
+    n = parse_field(int, head[1], path, line)
+    if n < minimum:
+        raise ValueError(f"{path}, line {line}: {word} must be >= {minimum}, got {n}")
+    return n, records[1:]
 
 
 def parse_field(kind: Callable[[str], object], text: str, path, line: int):
@@ -95,10 +115,14 @@ class DiscreteDist:
 
     @classmethod
     def uniform(cls, k: int) -> "DiscreteDist":
+        _check_int(k=k)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         return cls(probs=(Fraction(1, k),) * k)
 
     @classmethod
     def point_mass(cls, k: int, outcome: int) -> "DiscreteDist":
+        _check_int(k=k, outcome=outcome)
         if not 0 <= outcome < k:
             raise ValueError(f"outcome {outcome} outside 0..{k - 1}")
         return cls(probs=tuple(1 if j == outcome else 0 for j in range(k)))

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import DiscreteDist, _cdf_of, padded, parse_field, read_records, search
+from .dist import DiscreteDist, _cdf_of, padded, parse_field, read_header, search
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.lm.sample
 
 
@@ -155,16 +155,8 @@ def drifting_lm(vocab_size: int = 4) -> ToyLM:
 
 def load_lm(path: str | Path) -> ToyLM:
     """Read 'vocab N', one line of initial probs, then N transition rows."""
-    records = read_records(path)
-    if not records:
-        raise ValueError(f"lm file {path} is empty; expected 'vocab N' first")
-    line, head = records[0]
-    if len(head) != 2 or head[0] != "vocab":
-        raise ValueError(f"first line must be 'vocab N', got {' '.join(head)!r}")
-    n = parse_field(int, head[1], path, line)
-    if n < 2:
-        raise ValueError(f"{path}, line {line}: vocab must be >= 2, got {n}")
-    if len(records) != 2 + n:
+    n, records = read_header(path, "lm", "vocab", 2)
+    if len(records) != 1 + n:
         raise ValueError(f"expected initial row plus {n} transition rows")
 
     def parse_row(line: int, fields: list[str]) -> DiscreteDist:
@@ -175,8 +167,8 @@ def load_lm(path: str | Path) -> ToyLM:
 
     return ToyLM(
         vocab_size=n,
-        initial=parse_row(*records[1]),
-        transitions=tuple(parse_row(*record) for record in records[2:]),
+        initial=parse_row(*records[0]),
+        transitions=tuple(parse_row(*record) for record in records[1:]),
     )
 
 

@@ -209,8 +209,10 @@ def type2_product_exact(
         if len(probs) != 2:
             raise ValueError("binomial method needs a two-outcome support")
         log_p, log_q = math.log(probs[0]), math.log(probs[1])
-        return float(_beta_binomial(log_p, log_q, int(n), int(n) + 1, math.log(alpha))[0])
-    return _beta_count_vectors(probs, n, alpha)
+        beta = float(_beta_binomial(log_p, log_q, int(n), int(n) + 1, math.log(alpha))[0])
+    else:
+        beta = _beta_count_vectors(probs, n, alpha)
+    return min(beta, 1.0)  # rounding can pass 1 at tiny alpha
 
 
 def type2_product_mc(
@@ -339,7 +341,7 @@ def n_required_empirical(
         if len(probs) == 2:
             log_p, log_q = math.log(probs[0]), math.log(probs[1])
             values = _beta_binomial(log_p, log_q, n, min(n + size, n_max + 1), math.log(alpha))
-            values, size = values.tolist(), min(2 * size, SCAN_CELLS)
+            values, size = np.minimum(values, 1.0).tolist(), min(2 * size, SCAN_CELLS)
         else:
             values = [type2_product_exact(rho0, n, alpha)]
         for value in values:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import DiscreteDist, ResourceLimit, _check_alpha, _check_int, parse_field, read_records
+from .dist import DiscreteDist, ResourceLimit, _check_alpha, _check_int, parse_field, read_header
 from .simplex import LpProblem, LpSolution, simplex_solve
 from .ump import Coupling, Region
 
@@ -75,17 +75,9 @@ def load_graph(path: str | Path) -> PerturbationGraph:
 
     Self-loops are added with a warning when the file omits them.
     """
-    records = read_records(path)
-    if not records:
-        raise ValueError(f"graph file {path} is empty; expected 'vertices N' first")
-    line, head = records[0]
-    if len(head) != 2 or head[0] != "vertices":
-        raise ValueError(f"first line must be 'vertices N', got {' '.join(head)!r}")
-    n = parse_field(int, head[1], path, line)
-    if n < 1:
-        raise ValueError(f"{path}, line {line}: vertices must be >= 1, got {n}")
+    n, records = read_header(path, "graph", "vertices", 1)
     edges = []
-    for line, parts in records[1:]:
+    for line, parts in records:
         if len(parts) != 2:
             raise ValueError(f"expected 'u v' pair, got {' '.join(parts)!r}")
         edges.append(tuple(parse_field(int, part, path, line) for part in parts))

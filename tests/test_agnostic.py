@@ -293,3 +293,10 @@ class TestPadding:
         assert alpha1 == Fraction(1, 4)
         assert law.n % 4 == 0 and law.n >= 10
         assert law.alpha == alpha1
+
+    @pytest.mark.parametrize(
+        "n, message", [(8.5, "n must be an integer, got 8.5"), (0, "n must be >= 1, got 0")]
+    )
+    def test_rejects_bad_outcome_count(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            pad_to_integral(n, Fraction(1, 4))

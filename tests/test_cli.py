@@ -62,6 +62,39 @@ class TestConfigParsing:
         assert parsed.params["alpha"] == 0.05
         assert parsed.seed == 9
 
+    def test_cli_seed_wins_over_file_seed(self, tmp_path):
+        cfg, out, alone, file_seed = (tmp_path / name for name in ("exp.cfg", "a", "b", "c"))
+        cfg.write_text("seed=3\n")
+        args = ["agnostic", "--instances", "2"]
+        assert main([*args, "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+        assert main([*args, "--seed", "5", "--out", str(alone)]) == 0
+        assert main([*args, "--config", str(cfg), "--out", str(file_seed)]) == 0
+        assert out.read_bytes() == alone.read_bytes() != file_seed.read_bytes()
+
+    def test_out_and_svg_from_file(self, tmp_path):
+        args = ["rates", "--h", "0.2", "--n_max", "256"]
+        flags = tmp_path / "flags.csv", tmp_path / "flags.svg"
+        assert main([*args, "--seed", "1", "--out", str(flags[0]), "--svg", str(flags[1])]) == 0
+        cfg, filed = tmp_path / "exp.cfg", (tmp_path / "file.csv", tmp_path / "file.svg")
+        cfg.write_text(f"seed=1\nout={filed[0]}\nsvg={filed[1]}\n")
+        assert main([*args, "--config", str(cfg)]) == 0
+        assert [p.read_bytes() for p in filed] == [p.read_bytes() for p in flags]
+
+    def test_cli_out_wins_over_file_out(self, tmp_path):
+        cfg, from_file, from_cli = tmp_path / "exp.cfg", tmp_path / "file.csv", tmp_path / "cli.csv"
+        cfg.write_text(f"seed=1\nout={from_file}\n")
+        parsed = build_config(["ump", "--config", str(cfg), "--out", str(from_cli)])
+        assert parsed.out == from_cli
+        assert main(["ump", "--config", str(cfg), "--out", str(from_cli)]) == 0
+        assert from_cli.exists() and not from_file.exists()
+
+    def test_first_config_file_wins(self, tmp_path):
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text("h=0.2\nseed=4\n")
+        second.write_text("h=0.15\nalpha=0.05\nseed=9\n")
+        parsed = build_config(["rates", "--config", str(first), "--config", str(second)])
+        assert (parsed.params["h"], parsed.params["alpha"], parsed.seed) == (0.2, 0.05, 4)
+
     def test_config_file_bad_line(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("h 0.2\n")
@@ -179,6 +212,13 @@ class TestConfigParsing:
 
 
 class TestCsvContract:
+    def test_rates_at_tiny_alpha(self, tmp_path):
+        # the exact miss near n = 1 rounds past 1 before it is capped
+        out = tmp_path / "r.csv"
+        assert main(["rates", "--alpha", "1e-30", "--seed", "1", "--out", str(out)]) == 0
+        betas = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert max(betas) == 1.0 and betas[-1] <= 0.01
+
     def test_rates_columns_and_exit(self, tmp_path):
         out = tmp_path / "rates.csv"
         code = main(

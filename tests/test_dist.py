@@ -48,6 +48,22 @@ class TestDiscreteDist:
         assert DiscreteDist.uniform(3).is_exact
         assert not DiscreteDist(probs=(0.5, 0.5)).is_exact
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DiscreteDist.uniform(0), "k must be >= 1, got 0"),
+            (lambda: DiscreteDist.uniform(2.5), "k must be an integer, got 2.5"),
+            (lambda: DiscreteDist.uniform(True), "k must be an integer, got True"),
+            (lambda: DiscreteDist.point_mass(2.5, 0), "k must be an integer, got 2.5"),
+            (lambda: DiscreteDist.point_mass(3, 1.5), "outcome must be an integer, got 1.5"),
+        ],
+        ids=["uniform-zero", "uniform-float", "uniform-bool", "point-mass-k-float",
+             "point-mass-outcome-float"],
+    )
+    def test_rejects_bad_counts(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestEntropy:
     def test_uniform(self):

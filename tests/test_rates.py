@@ -114,6 +114,21 @@ class TestExactProduct:
         with pytest.raises(ValueError):
             type2_product_exact(DiscreteDist.uniform(2), 2, 0.1, method="magic")
 
+    @pytest.mark.parametrize(
+        "rho, n",
+        [(hard_instance(0.1), 5), (DiscreteDist(probs=(0.5, 0.3, 0.2)), 3)],
+        ids=["binomial", "count-vectors"],
+    )
+    def test_stays_a_probability_at_tiny_alpha(self, rho, n):
+        # every class is above alpha = 1e-30, so the rounded sum can pass 1
+        assert type2_product_exact(rho, n, 1e-30) == 1.0
+
+    def test_scan_stays_a_probability_at_tiny_alpha(self):
+        n_star, curve = n_required_empirical(hard_instance(0.1), 1e-30, 0.01, 50)
+        assert n_star is None
+        assert [n for n, _, _ in curve.entries] == list(range(1, 51))
+        assert max(beta for _, beta, _ in curve.entries) == 1.0
+
 
 class TestPrunedCountVectors:
     """The count-vector walk visits only classes that can exceed alpha, and its
@@ -240,12 +255,13 @@ class TestBinomialCut:
         # path's single-length call; both outcome orders
         for probs in (self.ROWS[row], self.ROWS[row][::-1]):
             log_p, log_q, log_alpha = _logs(*probs, alpha)
-            want = _hex(beta_binomial_full(log_p, log_q, n, log_alpha) for n in range(1, self.N_MAX + 1))
-            assert _hex(self.chunked(log_p, log_q, log_alpha, self.N_MAX)) == want
+            full = [beta_binomial_full(log_p, log_q, n, log_alpha) for n in range(1, self.N_MAX + 1)]
+            assert _hex(self.chunked(log_p, log_q, log_alpha, self.N_MAX)) == _hex(full)
             rho = DiscreteDist(probs=probs)
             single = range(1, self.N_MAX + 1, 7)
             got = _hex(type2_product_exact(rho, n, alpha) for n in single)
-            assert got == [want[n - 1] for n in single]
+            # the public call caps at 1 the sums that rounding lifts past it at alpha = 1e-30
+            assert got == _hex(min(full[n - 1], 1.0) for n in single)
 
     @pytest.mark.parametrize("row", range(len(ROWS)))
     def test_alpha_at_a_class_probability(self, row):
