@@ -4,10 +4,12 @@ When the detector must fix the rejection-region law without seeing the model,
 the minimax-optimal choice is uniform over the fixed-size subsets whose size
 matches the Type I budget.  Its worst-case excess Type II error over the
 per-model optimum has an exact binomial-ratio form; this module computes that
-value in exact rationals, samples and couples the region law constructively
-via max-flow (certifying the bound instance by instance), and checks the
-underlying marginal-domination condition on the worst set of each size.
-The coupling is an ordinary ``ump.Coupling`` over (outcome, subset) atoms, so
+value in exact rationals and samples the region law.  One model's least loss
+is its worst-set gap max_U rho(U) - P(region hits U) (Strassen), computed
+exactly in one sorted-prefix pass: ``worst_set_gap`` rounds it once,
+``strassen_condition_holds`` compares it with a budget, and
+``build_agnostic_coupling`` returns it with a coupling built by max-flow, an
+ordinary ``ump.Coupling`` over (outcome, subset) atoms, so
 ``ump.type2_exact`` gives its loss and ``ump.type1_exact`` its level.
 """
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from .dist import DiscreteDist, ResourceLimit, _check_int, binom_exact
 from .flow import FlowNetwork
+from .simplex import _integer_row
 from .ump import Coupling, Region
 
 # the largest subset count first measured to build a coupling within 30 s; n=36,
@@ -124,20 +127,17 @@ def pad_to_integral(n: int, alpha: Fraction) -> tuple[UniformRegionLaw, Fraction
     return UniformRegionLaw(n=n1, region_size=n1 // inv), alpha1
 
 
-def build_agnostic_coupling(
-    rho: DiscreteDist, law: UniformRegionLaw
-) -> tuple[Coupling, float]:
+def build_agnostic_coupling(rho: DiscreteDist, law: UniformRegionLaw) -> tuple[Coupling, float]:
     """Couple ``rho`` with the uniform region law; returns (coupling, loss).
 
     Solves the transportation problem source -> outcomes -> covering subsets
     -> sink by max-flow, then completes the leftover mass (necessarily on
     non-covering pairs at a maximum flow) so both marginals are met exactly.
     The atoms are (x, subset, mass) in (x, subset index) order, with Fraction
-    masses when ``rho`` is exact.  ``loss`` is the probability the outcome
-    falls outside its region, from the flow value.
+    masses when ``rho`` is exact.  ``loss``, the probability the outcome falls
+    outside its region, is ``worst_set_gap``: the flow only builds the atoms.
     """
-    if rho.k != law.n:
-        raise ValueError(f"distribution has {rho.k} outcomes, law expects {law.n}")
+    loss = worst_set_gap(rho, law)  # also checks that rho has law.n outcomes
     n_subsets = law.n_subsets
     if n_subsets > MAX_ENUM_SUBSETS:
         raise ResourceLimit(f"{n_subsets} subsets exceed enumeration cap {MAX_ENUM_SUBSETS}")
@@ -158,9 +158,7 @@ def build_agnostic_coupling(
             pair_edges[(x, a)] = net.add_edge(node_x(x), node_a(a), big)
     sink_edges = [net.add_edge(node_a(a), sink, subset_quota) for a in range(n_subsets)]
 
-    value = net.max_flow(source, sink)
-    loss = 1 - value
-
+    net.max_flow(source, sink)
     flows = [(x, a, f) for (x, a), eid in pair_edges.items() if (f := net.flow_on(eid)) > 0]
     # Complete the coupling: pair leftover outcome mass with leftover subset
     # quota (northwest-corner).  No leftover pair can cover its outcome, or
@@ -183,38 +181,33 @@ def build_agnostic_coupling(
                 spare[ai] = (a, s)
 
     flows.sort()
-    coupling = Coupling(atoms=tuple((x, subsets[a], m) for x, a, m in flows), k=law.n)
-    return coupling, (float(loss) if exact else loss)
+    return Coupling(atoms=tuple((x, subsets[a], m) for x, a, m in flows), k=law.n), loss
 
 
-def _worst_gap(rho: DiscreteDist, law: UniformRegionLaw, exact: bool):
-    """max over U of rho(U) - P(region hits U), exact or in floats.
-
-    The hit probability depends on |U| only, so the worst set of each size u
-    is the u most likely outcomes: one pass over the sorted prefix sums.
-    """
+def _worst_gap(rho: DiscreteDist, law: UniformRegionLaw) -> Fraction:
+    """max over U of rho(U) - P(region hits U), exactly: rho is read as Python ints
+    over one common denominator (numpy integers through ``int``, or large
+    denominators overflow int64); the hit probability depends on |U| only, so the
+    worst set of each size u is the u most likely outcomes, one sorted-prefix pass."""
     if rho.k != law.n:
         raise ValueError(f"distribution has {rho.k} outcomes, law expects {law.n}")
-    number = Fraction if exact else float
-    probs = sorted(map(number, rho.probs), reverse=True)
-    best = acc = number(0)
-    for u in range(1, law.n + 1):
-        acc += probs[u - 1]
-        best = max(best, acc - number(law.hit_probability(u)))
+    ints, scale = _integer_row(rho.probs)
+    best, acc = Fraction(0), 0
+    for u, p in enumerate(sorted(ints, reverse=True), start=1):
+        acc += p
+        best = max(best, Fraction(acc, scale) - law.hit_probability(u))
     return best
 
 
 def strassen_condition_holds(rho: DiscreteDist, law: UniformRegionLaw, budget) -> bool:
     """Marginal-domination check: rho(U) - P(region hits U) <= budget for all U.
 
-    Exact when the distribution and budget are exact rationals; float
-    arithmetic otherwise.
+    One exact comparison of the worst-set gap with ``budget`` (float, int or
+    ``Fraction``), whatever the types of rho's probabilities.
     """
-    if rho.is_exact and not isinstance(budget, float):
-        return bool(_worst_gap(rho, law, exact=True) <= budget)
-    return bool(_worst_gap(rho, law, exact=False) <= float(budget))
+    return _worst_gap(rho, law) <= budget
 
 
 def worst_set_gap(rho: DiscreteDist, law: UniformRegionLaw) -> float:
-    """max over U of rho(U) - P(region hits U); equals the min achievable loss."""
-    return _worst_gap(rho, law, exact=False)
+    """The exact worst-set gap rounded once: the least loss of any coupling (Strassen)."""
+    return float(_worst_gap(rho, law))

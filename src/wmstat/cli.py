@@ -1,15 +1,16 @@
 """Experiment runner.
 
 Usage: ``wmstat <experiment> [--config FILE] [--key value ...] --seed S
-[--out path.csv] [--svg path.svg]``.
+[--out path.csv] [--svg path.svg]``; ``wmstat --help`` prints it to stdout.
 
-Config files are plain key=value lines.  Every key, ``seed``, ``out`` and
-``svg`` included, may come from a file or from a ``--key value`` pair; the
-command line wins, and the first file to name a key wins over later ones.
-Every experiment draws all randomness through (seed, stream id) substreams
-and reduces in fixed order, so a given config and seed produce
-byte-identical CSV on every run.  Exit codes: 0 success, 1 runtime resource
-limit, 2 bad configuration or input.
+Config files are plain key=value lines, each key at most once.  Every key,
+``seed``, ``out`` and ``svg`` included, may come from a file or from a
+``--key value`` pair; the command line wins, and the first file to name a
+key wins over later ones.  Every experiment draws all randomness through
+(seed, stream id) substreams and reduces in fixed order, so a given config
+and seed produce byte-identical CSV on every run.  Exit codes: 0 success
+(``--help`` or ``-h`` included), 1 runtime resource limit, 2 bad
+configuration or input (a bare ``wmstat`` included).
 """
 
 from __future__ import annotations
@@ -112,14 +113,14 @@ def _run_agnostic(params: dict, seed: int) -> Iterable[tuple]:
         raise ConfigError(f"instances must be >= 0, got {params['instances']}")
     m = agnostic.integrality_check(n, alpha)
     law = agnostic.UniformRegionLaw(n=n, region_size=m)
-    gamma = float(agnostic.max_type2_loss(n, alpha))
+    gamma = agnostic.max_type2_loss(n, alpha)
 
     def row(label: str, rho: DiscreteDist) -> tuple:
         coupling, loss = agnostic.build_agnostic_coupling(rho, law)
         surplus = ump.clipped_surplus(rho.probs, float(alpha))
-        budget = gamma + surplus
-        ok = agnostic.strassen_condition_holds(rho, law, budget + 1e-9)
-        return label, loss, gamma, surplus, budget, ok
+        exact_budget = gamma + sum(max(Fraction(p) - alpha, 0) for p in rho.probs)
+        ok = agnostic.strassen_condition_holds(rho, law, exact_budget)
+        return label, loss, float(gamma), surplus, float(gamma) + surplus, ok
 
     support = int(1 / alpha)
     worst = DiscreteDist(
@@ -274,13 +275,15 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     for lineno, line in read_lines(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in pairs:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        pairs[key] = value
     return pairs
 
 
 def build_config(argv: list[str]) -> ExperimentConfig:
-    if not argv or argv[0] in ("-h", "--help"):
+    if not argv:
         raise ConfigError(usage())
     name = argv[0]
     if name not in EXPERIMENTS:
@@ -354,6 +357,9 @@ def run(config: ExperimentConfig) -> CsvTable:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] in (["-h"], ["--help"]):
+        print(usage())
+        return 0
     try:
         config = build_config(argv)
         table = run(config)

@@ -44,37 +44,42 @@ def read_lines(path: str | Path) -> list[tuple[int, str]]:
     """(1-based line number, stripped text) of each non-blank line not opening with '#'.
 
     The one line reader of config, model and graph files: ``cli.load_config_file``
-    calls it directly, ``lm.load_lm`` and ``robust.load_graph`` through ``read_header``.
+    calls it directly, ``lm.load_lm`` and ``robust.load_graph`` through ``read_table``.
     """
     lines = enumerate(Path(path).read_text().splitlines(), start=1)
     return [(no, text) for no, ln in lines if (text := ln.strip()) and not text.startswith("#")]
 
 
-def read_header(path, kind: str, word: str, minimum: int) -> tuple[int, list[tuple[int, list[str]]]]:
-    """N from a first line ``'<word> N'`` with N >= ``minimum``, and (line number,
-    fields) of each later line; ``kind`` names the file in the empty-file error.
+def read_table(path, kind: str, word: str, minimum: int, parse_row: Callable) -> tuple[int, list]:
+    """N from a first line ``'<word> N'`` with N >= ``minimum``, and ``parse_row(N, fields)``
+    of each later line; ``kind`` names the file in the empty-file error.
 
-    The header of model (``lm.load_lm``: 'vocab N') and graph
-    (``robust.load_graph``: 'vertices N') files.
+    The one parser of model (``lm.load_lm``: 'vocab N') and graph (``robust.load_graph``:
+    'vertices N') files: a ValueError on a line is raised again as '<path>, line <k>: ...'.
     """
     records = [(no, text.split()) for no, text in read_lines(path)]
     if not records:
         raise ValueError(f"{kind} file {path} is empty; expected '{word} N' first")
-    line, head = records[0]
-    if len(head) != 2 or head[0] != word:
-        raise ValueError(f"first line must be '{word} N', got {' '.join(head)!r}")
-    n = parse_field(int, head[1], path, line)
-    if n < minimum:
-        raise ValueError(f"{path}, line {line}: {word} must be >= {minimum}, got {n}")
-    return n, records[1:]
+    n, rows = None, []
+    for line, fields in records:
+        try:
+            if n is not None:
+                rows.append(parse_row(n, fields))
+            elif len(fields) != 2 or fields[0] != word:
+                raise ValueError(f"first line must be '{word} N', got {' '.join(fields)!r}")
+            elif (n := parse_field(int, fields[1])) < minimum:
+                raise ValueError(f"{word} must be >= {minimum}, got {n}")
+        except ValueError as err:
+            raise ValueError(f"{path}, line {line}: {err}") from None
+    return n, rows
 
 
-def parse_field(kind: Callable[[str], object], text: str, path, line: int):
-    """``kind(text)``, or a ValueError naming the file and the line."""
+def parse_field(kind: Callable[[str], object], text: str):
+    """``kind(text)``, or a ValueError naming ``kind`` and quoting ``text``."""
     try:
         return kind(text)
     except ValueError:
-        raise ValueError(f"{path}, line {line}: expected {kind.__name__}, got {text!r}") from None
+        raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
 
 
 @dataclass(frozen=True)

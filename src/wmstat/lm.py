@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import DiscreteDist, _cdf_of, padded, parse_field, read_header, search
+from .dist import DiscreteDist, _cdf_of, padded, parse_field, read_table, search
 from .dist import sample  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.lm.sample
 
 
@@ -155,21 +155,16 @@ def drifting_lm(vocab_size: int = 4) -> ToyLM:
 
 def load_lm(path: str | Path) -> ToyLM:
     """Read 'vocab N', one line of initial probs, then N transition rows."""
-    n, records = read_header(path, "lm", "vocab", 2)
-    if len(records) != 1 + n:
-        raise ValueError(f"expected initial row plus {n} transition rows")
 
-    def parse_row(line: int, fields: list[str]) -> DiscreteDist:
-        probs = tuple(parse_field(float, tok, path, line) for tok in fields)
-        if len(probs) != n:
-            raise ValueError(f"row has {len(probs)} entries, expected {n}")
-        return DiscreteDist(probs=probs)
+    def parse_row(n: int, fields: list[str]) -> DiscreteDist:
+        if len(fields) != n:
+            raise ValueError(f"row has {len(fields)} entries, expected {n}")
+        return DiscreteDist(probs=tuple(parse_field(float, tok) for tok in fields))
 
-    return ToyLM(
-        vocab_size=n,
-        initial=parse_row(*records[0]),
-        transitions=tuple(parse_row(*record) for record in records[1:]),
-    )
+    n, rows = read_table(path, "lm", "vocab", 2, parse_row)
+    if len(rows) != 1 + n:
+        raise ValueError(f"{path}: expected initial row plus {n} transition rows")
+    return ToyLM(vocab_size=n, initial=rows[0], transitions=tuple(rows[1:]))
 
 
 def save_lm(lm: ToyLM, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dist import DiscreteDist, ResourceLimit, _check_alpha, _check_int, parse_field, read_header
+from .dist import DiscreteDist, ResourceLimit, _check_alpha, _check_int, parse_field, read_table
 from .simplex import LpProblem, LpSolution, simplex_solve
 from .ump import Coupling, Region
 
@@ -75,12 +75,13 @@ def load_graph(path: str | Path) -> PerturbationGraph:
 
     Self-loops are added with a warning when the file omits them.
     """
-    n, records = read_header(path, "graph", "vertices", 1)
-    edges = []
-    for line, parts in records:
+
+    def parse_edge(n: int, parts: list[str]) -> tuple[int, ...]:
         if len(parts) != 2:
             raise ValueError(f"expected 'u v' pair, got {' '.join(parts)!r}")
-        edges.append(tuple(parse_field(int, part, path, line) for part in parts))
+        return tuple(parse_field(int, part) for part in parts)
+
+    n, edges = read_table(path, "graph", "vertices", 1, parse_edge)
     missing = set(range(n)) - {u for u, v in edges if u == v}
     if missing:
         warnings.warn(

@@ -300,3 +300,86 @@ class TestPadding:
     def test_rejects_bad_outcome_count(self, n, message):
         with pytest.raises(ValueError, match=message):
             pad_to_integral(n, Fraction(1, 4))
+
+
+class TestOneExactGap:
+    """The coupling's loss, ``worst_set_gap`` and the Strassen check share one exact gap."""
+
+    SIZES = ((4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 5), (12, 3), (12, 4))
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_loss_is_the_exact_gap_rounded_once(self, n, m):
+        law = UniformRegionLaw(n=n, region_size=m)
+        rng = np.random.default_rng(100 + n * m)
+        weights = rng.integers(0, 6, size=n)
+        weights[0] += 1
+        exact = DiscreteDist(probs=tuple(Fraction(int(w), int(weights.sum())) for w in weights))
+        floats = [DiscreteDist(probs=random_dist(rng, n, spread)) for spread in (1.0, 0.3)]
+        for rho in (exact, *floats):
+            gap = worst_set_gap_brute_exact(rho.probs, law)
+            _, loss = build_agnostic_coupling(rho, law)
+            assert loss == worst_set_gap(rho, law) == float(gap), rho.probs
+            assert strassen_condition_holds(rho, law, gap)
+            assert not strassen_condition_holds(rho, law, gap - Fraction(1, 10**30))
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_exact_atoms_miss_by_the_exact_gap(self, n, m):
+        law = UniformRegionLaw(n=n, region_size=m)
+        rng = np.random.default_rng(200 + n * m)
+        weights = rng.integers(0, 9, size=n)
+        weights[-1] += 1
+        rho = DiscreteDist(probs=tuple(Fraction(int(w), int(weights.sum())) for w in weights))
+        coupling, _ = build_agnostic_coupling(rho, law)
+        miss = sum((w for x, region, w in coupling.atoms if x not in region), Fraction(0))
+        assert miss == worst_set_gap_brute_exact(rho.probs, law)
+
+    def test_float_law_against_its_exact_gap_budget(self):
+        # comparing the gap in floats said False here, as for 305 of 2000
+        # Dirichlet(1) laws at n = 8, m = 2
+        law = UniformRegionLaw(n=8, region_size=2)
+        rho = DiscreteDist(probs=tuple(np.random.default_rng(26).dirichlet(np.ones(8))))
+        gap = worst_set_gap_brute_exact(rho.probs, law)
+        assert strassen_condition_holds(rho, law, gap) is True
+        assert strassen_condition_holds(rho, law, gap - Fraction(1, 10**30)) is False
+
+    @pytest.mark.parametrize(
+        "head, gap",
+        [((np.int64(1),), Fraction(1, 2)), ((Fraction(1, 2), Fraction(1, 2)), Fraction(17, 69))],
+        ids=["point-mass", "two-point"],
+    )
+    def test_numpy_integer_probabilities_read_exactly(self, head, gap):
+        # C(70, 35) > 2**63: a Fraction holding an np.int64 overflows against it
+        law = UniformRegionLaw(n=70, region_size=35)
+        assert law.hit_probability(35) == 1 - Fraction(1, math.comb(70, 35))
+        rho = DiscreteDist(probs=head + (np.int64(0),) * (70 - len(head)))
+        assert worst_set_gap(rho, law) == float(gap)
+        assert strassen_condition_holds(rho, law, gap)
+        assert not strassen_condition_holds(rho, law, gap - Fraction(1, 10**30))
+        assert strassen_condition_holds(rho, law, float(gap) + 1e-15)
+
+
+_LAW = UniformRegionLaw(n=4, region_size=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: UniformRegionLaw(n=4, region_size=5), "region size 5 outside 1..4"),
+        (lambda: UniformRegionLaw(n=4, region_size=0), "region size 0 outside 1..4"),
+        (lambda: _LAW.hit_probability(5), "set size 5 outside 0..4"),
+        (lambda: integrality_check(4, Fraction(3, 2)), r"alpha must be in \(0, 1\]"),
+        (lambda: integrality_check(0, Fraction(1, 4)), "need n >= 1/alpha, got n=0"),
+        (lambda: pad_to_integral(8, Fraction(1)), r"alpha must be in \(0,1\), got 1"),
+        (lambda: build_agnostic_coupling(DiscreteDist.uniform(3), _LAW),
+         "distribution has 3 outcomes, law expects 4"),
+        (lambda: worst_set_gap(DiscreteDist.uniform(5), _LAW),
+         "distribution has 5 outcomes, law expects 4"),
+        (lambda: strassen_condition_holds(DiscreteDist.uniform(5), _LAW, 1),
+         "distribution has 5 outcomes, law expects 4"),
+    ],
+    ids=["region-too-big", "region-empty", "set-size", "alpha-above-one", "n-below-1/alpha",
+         "pad-alpha-one", "coupling-size", "gap-size", "strassen-size"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

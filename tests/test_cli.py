@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from wmstat import schemes
 from wmstat.cli import CsvTable, ConfigError, build_config, fmt, main
+from wmstat.plots import svg_line_plot
 from wmstat.streams import substream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +102,35 @@ class TestConfigParsing:
         cfg.write_text("h 0.2\n")
         with pytest.raises(Exception, match="key=value"):
             build_config(["rates", "--config", str(cfg), "--seed", "1"])
+
+    def test_key_twice_in_one_file(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("h=0.2\n# later\nh = 0.3\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:3: key 'h' given twice")):
+            build_config(["rates", "--config", str(cfg), "--seed", "1"])
+        assert main(["rates", "--config", str(cfg), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage_to_stdout(self, capsys, flag):
+        assert main([flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: wmstat <experiment>") and err == ""
+        assert all(f"  {name}\n" in out for name in ("agnostic", "rates", "robust", "schemes", "ump"))
+
+    def test_bare_command_prints_usage_and_exits_2(self, capsys):
+        assert main([]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: wmstat <experiment>")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["ump", "seed", "1"], "expected --key value pairs, got 'seed'"),
+         (["ump", "--seed"], "missing value for --seed")],
+        ids=["bare-word", "missing-value"],
+    )
+    def test_input_checks(self, argv, message):
+        with pytest.raises(ConfigError, match=message):
+            build_config(argv)
 
     def test_runtime_limit_exit_code(self, tmp_path, capsys):
         # n_max above the exact-scan cap is a runtime resource limit
@@ -196,6 +227,28 @@ class TestConfigParsing:
         path.write_text(text)
         assert main(args + [f"@{path}", "--seed", "1"]) == 2
         assert f"{path}, {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices 2\n0 1 2\n",
+             "{path}, line 2: expected 'u v' pair, got '0 1 2'"),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab 2\n0.5 0.4\n0.5 0.5\n0.5 0.5\n",
+             "{path}, line 2: probabilities sum to 0.9, not 1"),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab 2\n0.5 0.5\n\n0.2 0.3 0.5\n0.5 0.5\n",
+             "{path}, line 4: row has 3 entries, expected 2"),
+            (["schemes", "--scheme", "srl", "--lm"], "vocab 2\n0.5 0.5\n0.5 0.5\n",
+             "{path}: expected initial row plus 2 transition rows"),
+            (["schemes", "--scheme", "srl", "--lm"], "# model\nvocabulary 2\n0.5 0.5\n",
+             "{path}, line 2: first line must be 'vocab N', got 'vocabulary 2'"),
+        ],
+        ids=["edge-triple", "row-sum", "row-length", "row-count", "header-word"],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, capsys, args, text, message):
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        assert main(args + [f"@{path}", "--seed", "1"]) == 2
+        assert message.format(path=path) in capsys.readouterr().err
 
     def test_rho_graph_size_mismatch_names_key_and_graph(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -379,3 +432,20 @@ class TestRngStream:
         a = substream(42, 0).random(1000)
         b = substream(43, 0).random(1000)
         assert int(np.sum(a != b)) >= 990
+
+
+@pytest.mark.parametrize(
+    "rows, x_col, y_cols, message",
+    [
+        (((1, 2.0),), "n", ("beta",), "column 'beta' not in table header"),
+        (((1, 2.0),), "x", ("y",), "column 'x' not in table header"),
+        ((), "n", ("y",), "nothing to plot"),
+        (((1, float("nan")), (2, float("inf"))), "n", ("y",), "nothing to plot"),
+    ],
+    ids=["y-column", "x-column", "no-rows", "no-finite-value"],
+)
+def test_plot_input_checks(tmp_path, rows, x_col, y_cols, message):
+    path = tmp_path / "p.svg"
+    with pytest.raises(ValueError, match=message):
+        svg_line_plot(("n", "y"), rows, x_col, y_cols, path)
+    assert not path.exists()

@@ -319,3 +319,17 @@ class TestSampleManyMatchesSearchsorted:
 
     def test_empty_draw(self):
         assert sample_many(DiscreteDist.uniform(5), substream(1, 0), 0).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DiscreteDist.point_mass(3, 3), "outcome 3 outside 0..2"),
+        (lambda: DiscreteDist.point_mass(3, -1), r"outcome -1 outside 0..2"),
+        (lambda: DiscreteDist.from_weights([0.0, 0.0]), "weights must have positive total"),
+    ],
+    ids=["outcome-above", "outcome-below", "zero-weights"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

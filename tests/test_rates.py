@@ -622,3 +622,22 @@ class TestRequiredTokens:
     def test_scan_cap(self):
         with pytest.raises(ValueError):
             n_required_empirical(DiscreteDist.uniform(2), 0.01, 0.01, 200_000)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RateCurve(entries=((1, 1.5, 0.0),)), ValueError, r"beta 1.5 outside \[0,1\]"),
+        (lambda: RateCurve(entries=((1, 0.5, -0.1),)), ValueError, "stderr must be >= 0"),
+        (lambda: RateCurve(entries=((1, 0.5, 0.0), (3, 0.2, 0.0))).beta_at(2), KeyError,
+         "n=2 not in curve"),
+        (lambda: type2_product_exact(DiscreteDist(probs=(0.5, 0.3, 0.2)), 4, 0.1, "binomial"),
+         ValueError, "binomial method needs a two-outcome support"),
+        (lambda: n_required_empirical(hard_instance(0.1), 0.01, 1.0, 16), ValueError,
+         r"beta must be in \(0,1\), got 1.0"),
+    ],
+    ids=["curve-beta", "curve-stderr", "curve-missing-n", "binomial-support", "scan-beta"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -297,3 +297,23 @@ class TestRobustType2:
                 w for x, r, w in c.atoms if x not in shrinkage(g, r)
             )
             assert robust_type2_exact(c, g) == pytest.approx(via_shrink, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PerturbationGraph(out_adj=((1, 0), (1,))),
+         "successors of 0 must be sorted and duplicate-free"),
+        (lambda: PerturbationGraph(out_adj=((0, 2), (1,))), "successor out of range for vertex 0"),
+        (lambda: PerturbationGraph.from_edges(2, [(2, 0)]), "edge source 2 outside 0..1"),
+        (lambda: robust_lp_build(DiscreteDist(probs=(0.5, 0.3, 0.2)), 0.2, chain_graph(2)),
+         "distribution has 3 outcomes, graph has 2"),
+        (lambda: robust_type2_exact(ump_coupling(DiscreteDist(probs=(0.5, 0.5)), 0.2),
+                                    chain_graph(3)),
+         "coupling has 2 outcomes, graph has 3"),
+    ],
+    ids=["unsorted", "out-of-range", "edge-source", "lp-size", "coupling-size"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -779,3 +779,49 @@ class TestSchemeConfigs:
             for alpha in (0.0, 1.0, -0.5, 1.5):
                 with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0,1), got {alpha!r}")):
                     config(n=20, target_alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: erlang_upper_quantile(0, 0.05), "shape must be >= 1, got 0"),
+        (lambda: SoftRedListConfig(n=5, target_alpha=0.05, gamma=1.0),
+         r"green fraction must be in \(0,1\), got 1.0"),
+        (lambda: SoftRedList(SoftRedListConfig(n=5, target_alpha=0.05, vocab_size=3)).keyed(
+            fair_coin_lm(), [1], 5), "config vocab size must match the model"),
+        (lambda: ChristBinary(ChristBinaryConfig(n=3, target_alpha=0.05)).detect(
+            fair_coin_lm(), WatermarkKey(seed=1), (0, 1, 1), meta=4),
+         "start index 4 outside 0..3"),
+        (lambda: ItsConfig(n=10, target_alpha=0.05, resamples=0), "resamples must be >= 1, got 0"),
+        (lambda: ItsConfig(n=10, target_alpha=0.05, block_k=1), "block size must be >= 2, got 1"),
+        (lambda: InverseTransform(ItsConfig(n=10, target_alpha=0.05, vocab_size=3)).keyed(
+            fair_coin_lm(), [1], 10), "config vocab size must match the model"),
+    ],
+    ids=["erlang-shape", "srl-gamma", "srl-vocab", "christ-start", "its-resamples", "its-block",
+         "its-vocab"],
+)
+def test_scheme_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+_HALF = DiscreteDist(probs=(0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ToyLM(vocab_size=1, initial=DiscreteDist(probs=(1.0,)),
+                       transitions=(DiscreteDist(probs=(1.0,)),)), "vocab size must be >= 2"),
+        (lambda: ToyLM(vocab_size=2, initial=DiscreteDist.uniform(3), transitions=(_HALF, _HALF)),
+         "initial distribution size must match vocab size"),
+        (lambda: ToyLM(vocab_size=2, initial=_HALF, transitions=(_HALF,)),
+         "need one transition row per token"),
+        (lambda: ToyLM(vocab_size=2, initial=_HALF, transitions=(_HALF, DiscreteDist.uniform(3))),
+         "transition row size must match vocab size"),
+    ],
+    ids=["vocab", "initial-size", "row-count", "row-size"],
+)
+def test_lm_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -250,3 +250,14 @@ def test_dimension_validation():
 def test_solution_is_dataclass():
     s = LpSolution(x=(1.0,), objective=1.0, status="optimal")
     assert s.x == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [(dict(objective=(1.0, 1.0), constraints=(), bounds=((0.0, 1.0),)),
+      "bounds length must match objective length")],
+    ids=["bounds-length"],
+)
+def test_input_checks(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LpProblem(**kwargs)

@@ -125,3 +125,17 @@ def test_precomputed_state_serves_only_pcg64_seeding():
     for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError):
             state.generate_state(*request)
+
+
+@pytest.mark.parametrize(
+    "seeds, path, message",
+    [
+        (np.arange(3), [np.arange(2)], r"must be ints or \[3\] arrays"),
+        (7, [np.arange(2), np.arange(4)], r"must be ints or \[4\] arrays"),
+        (np.zeros((2, 2), dtype=np.int64), [1], r"must be ints or \[2\] arrays"),
+    ],
+    ids=["path-shorter", "paths-differ", "two-dim-seeds"],
+)
+def test_input_checks(seeds, path, message):
+    with pytest.raises(ValueError, match=message):
+        substreams(seeds, path)

@@ -229,3 +229,18 @@ class TestInvariants:
         eps = float(rng.uniform(0.0, 0.5))
         c = ump_coupling(rho, alpha, eps)  # constructor enforces invariants
         assert type1_exact(c) <= alpha + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Region(members=(-1, 0)), "region members must be non-negative outcome ids"),
+        (lambda: Coupling(atoms=((2, EMPTY_REGION, 1.0),), k=2), "outcome 2 outside 0..1"),
+        (lambda: Coupling(atoms=((0, Region.of((0, 2)), 1.0),), k=2),
+         "region member outside outcome range"),
+    ],
+    ids=["negative-member", "outcome-range", "member-range"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
