@@ -1,26 +1,27 @@
 """Max-flow on small dense networks, for transportation couplings.
 
-Edmonds-Karp (shortest augmenting paths) over an adjacency-list residual
-graph.  Capacities may be floats or exact ``Fraction`` values; the float mode
-treats residuals at or below ``FLOAT_CUTOFF`` as absent so rounding noise
-cannot produce endless hairline augmentations.
+Dinic's algorithm over an adjacency-list residual graph.  Capacities may be
+floats or exact ``Fraction`` values; the float mode treats residuals at or
+below ``FLOAT_CUTOFF`` as absent so rounding noise cannot produce endless
+hairline augmentations.
 
-Each search is a FIFO breadth-first scan that stops as soon as it discovers a
-node with a live edge into the sink (the source is checked before the scan).
-A ``live`` flag per edge (residual above the cutoff) and each node's first
-live edge into the sink are kept in step with the capacities, updated only
-along each augmenting path, so the scan never compares capacities.  Stopping
-at discovery rather than at dequeue keeps the augmenting path: dequeue order
-equals discovery order and a node's parent edge is fixed when it is
-discovered, so the sink's parent is the first discovered node with a live
-sink edge, through its first such edge in adjacency order, whichever of the
-two times the scan stops.
+Each phase labels node levels by one breadth-first scan of the live residual
+edges.  A depth-first walk then augments along level-increasing live edges,
+scanning each node's edges in adjacency order from a current arc that only
+moves forward; a node with no way on leaves the level graph, and the walk
+retreats to its parent and advances the parent's arc.
+
+The walk augments exactly the FIFO Edmonds-Karp paths, in the same order and
+with the same bottlenecks, so residuals and totals match it bit for bit: at a
+given level, breadth-first order is the lexicographic order of tree paths (by
+adjacency position), so the first level path found is the breadth-first tree
+path, and new reverse edges point back a level, so within a phase the next
+shortest path lies in the same level graph.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 
 FLOAT_CUTOFF = 1e-12
@@ -68,49 +69,44 @@ class FlowNetwork:
         if source == sink:
             raise ValueError(f"source and sink are both node {source}")
         to, cap, adj = self.to, self.cap, self.adj
-        exact = not any(isinstance(c, float) for c in cap)
-        eps = 0 if exact else FLOAT_CUTOFF
-        live = [c > eps for c in cap]
-        into_sink = [[eid for eid in edges if to[eid] == sink] for edges in adj]
-
-        def first_live(u: int) -> int:
-            """u's first live edge into the sink, in adjacency order, or -1."""
-            return next((eid for eid in into_sink[u] if live[eid]), -1)
-
-        sink_edge = [first_live(u) for u in range(self.n_nodes)]
+        eps = FLOAT_CUTOFF if any(isinstance(c, float) for c in cap) else 0
         total = 0
         while True:
-            parent_edge = [-1] * self.n_nodes
-            parent_edge[source] = -2
-            last = sink_edge[source]
-            queue = deque([source])
-            while last < 0 and queue:
-                for eid in adj[queue.popleft()]:
+            level = [-1] * self.n_nodes
+            level[source] = 0
+            queue = [source]
+            for u in queue:  # grows as it is scanned
+                if level[sink] >= 0:
+                    break
+                for eid in adj[u]:
                     v = to[eid]
-                    if parent_edge[v] == -1 and live[eid]:
-                        parent_edge[v] = eid
-                        last = sink_edge[v]
-                        if last >= 0:
-                            break
+                    if level[v] < 0 and cap[eid] > eps:
+                        level[v] = level[u] + 1
                         queue.append(v)
-            if last < 0:
+            if level[sink] < 0:
                 return total
-            parent_edge[sink] = last
-            bottleneck = None
-            v = sink
-            while v != source:
-                eid = parent_edge[v]
-                bottleneck = cap[eid] if bottleneck is None else min(bottleneck, cap[eid])
-                v = to[eid ^ 1]
-            v = sink
-            while v != source:
-                eid = parent_edge[v]
-                cap[eid] -= bottleneck
-                cap[eid ^ 1] += bottleneck
-                live[eid] = cap[eid] > eps
-                live[eid ^ 1] = cap[eid ^ 1] > eps
-                v = to[eid ^ 1]
-            # the path meets the sink only through its last edge
-            u = to[last ^ 1]
-            sink_edge[u] = first_live(u)
-            total += bottleneck
+            arc, path, u = [0] * self.n_nodes, [], source  # path: edge ids from the source to u
+            while True:
+                if u == sink:
+                    # read from the sink back, as Edmonds-Karp does, so a tie keeps its type
+                    bottleneck = min(cap[eid] for eid in reversed(path))
+                    for eid in path:
+                        cap[eid] -= bottleneck
+                        cap[eid ^ 1] += bottleneck
+                    total += bottleneck
+                    k = next(i for i, eid in enumerate(path) if cap[eid] <= eps)
+                    u = to[path[k] ^ 1]  # the first emptied edge's tail, never the sink
+                    del path[k:]
+                edges, i, up = adj[u], arc[u], level[u] + 1
+                while i < len(edges) and (level[to[edges[i]]] != up or cap[edges[i]] <= eps):
+                    i += 1
+                arc[u] = i
+                if i < len(edges):
+                    path.append(edges[i])
+                    u = to[edges[i]]
+                elif u == source:
+                    break
+                else:
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
+                    arc[u] += 1

@@ -79,7 +79,10 @@ def load_graph(path: str | Path) -> PerturbationGraph:
     def parse_edge(n: int, parts: list[str]) -> tuple[int, ...]:
         if len(parts) != 2:
             raise ValueError(f"expected 'u v' pair, got {' '.join(parts)!r}")
-        return tuple(parse_field(int, part) for part in parts)
+        edge = tuple(parse_field(int, part) for part in parts)
+        if bad := [v for v in edge if not 0 <= v < n]:
+            raise ValueError(f"vertex {bad[0]} outside 0..{n - 1}")
+        return edge
 
     n, edges = read_table(path, "graph", "vertices", 1, parse_edge)
     missing = set(range(n)) - {u for u, v in edges if u == v}

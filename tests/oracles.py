@@ -434,9 +434,10 @@ def random_dist(rng: np.random.Generator, k: int, spread: float = 1.0):
 
 
 def max_flow_fifo(net: FlowNetwork, source: int, sink: int):
-    """Edmonds-Karp on ``net`` in place, each search stopping when it dequeues
-    a node that reaches the sink: the path-by-path reference for
-    ``FlowNetwork.max_flow``, comparing capacities in the scan itself."""
+    """Edmonds-Karp on ``net`` in place, one FIFO breadth-first search per
+    augmenting path, each stopping when it dequeues a node that reaches the sink:
+    the path-by-path reference for the level-graph phases of
+    ``FlowNetwork.max_flow``, which must augment the same paths in the same order."""
     exact = not any(isinstance(c, float) for c in net.cap)
     eps = 0 if exact else FLOAT_CUTOFF
     total = 0

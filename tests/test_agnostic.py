@@ -12,7 +12,9 @@ from oracles import (
     worst_set_gap_brute_exact,
 )
 from wmstat.agnostic import (
+    MAX_ENUM_SUBSETS,
     UniformRegionLaw,
+    _worst_gap,
     build_agnostic_coupling,
     integrality_check,
     loss_limit_gap,
@@ -203,6 +205,26 @@ class TestCouplingConstruction:
         )
         _, loss = build_agnostic_coupling(rho, law)
         assert loss == pytest.approx(3 / 14, abs=1e-9)
+
+    def test_largest_enumerated_law(self):
+        # n = 16, m = 8 enumerates exactly the cap's C(16, 8) subsets
+        law = UniformRegionLaw(n=16, region_size=8)
+        assert law.n_subsets == MAX_ENUM_SUBSETS
+        rho = DiscreteDist(probs=tuple(np.random.default_rng(16).dirichlet(np.ones(16))))
+        coupling, loss = build_agnostic_coupling(rho, law)
+        assert type1_exact(coupling) == pytest.approx(0.5, abs=1e-12)
+        assert type2_exact(coupling) == pytest.approx(loss, abs=1e-12)
+
+    @pytest.mark.parametrize("support", [36, 12])
+    def test_exact_uniform_miss_at_n36(self, support):
+        # uniform on every outcome (no miss) and on 1/alpha of them (the minimax worst case)
+        law = UniformRegionLaw(n=36, region_size=3)
+        probs = [Fraction(1, support) if x < support else Fraction(0) for x in range(36)]
+        rho = DiscreteDist(probs=tuple(probs))
+        coupling, _ = build_agnostic_coupling(rho, law)
+        miss = sum((w for x, region, w in coupling.atoms if x not in region), Fraction(0))
+        worst = max_type2_loss(36, law.alpha) if support == 12 else 0
+        assert miss == _worst_gap(rho, law) == worst
 
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimit):

@@ -143,11 +143,11 @@ class TestConfigParsing:
         assert "limit" in capsys.readouterr().err
 
     def test_agnostic_subset_cap_exit_code(self, tmp_path, capsys):
-        # C(16, 8) = 12 870 subsets: above the cap, so the first coupling stops the run
+        # C(18, 6) = 18 564 subsets: above the cap, so the first coupling stops the run
         out = tmp_path / "a.csv"
-        code = main(["agnostic", "--n", "16", "--alpha", "1/2", "--seed", "1", "--out", str(out)])
+        code = main(["agnostic", "--n", "18", "--alpha", "1/3", "--seed", "1", "--out", str(out)])
         assert code == 1
-        assert "12870 subsets" in capsys.readouterr().err
+        assert "18564 subsets" in capsys.readouterr().err
 
     def test_bad_level_is_config_error(self, capsys):
         assert main(["ump", "--alphas", "1.5", "--seed", "1"]) == 2
@@ -233,6 +233,10 @@ class TestConfigParsing:
         [
             (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices 2\n0 1 2\n",
              "{path}, line 2: expected 'u v' pair, got '0 1 2'"),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices 2\n0 1\n0 5\n",
+             "{path}, line 3: vertex 5 outside 0..1"),
+            (["robust", "--rho", "0.5,0.5", "--graphs"], "vertices 2\n5 0\n",
+             "{path}, line 2: vertex 5 outside 0..1"),
             (["schemes", "--scheme", "srl", "--lm"], "vocab 2\n0.5 0.4\n0.5 0.5\n0.5 0.5\n",
              "{path}, line 2: probabilities sum to 0.9, not 1"),
             (["schemes", "--scheme", "srl", "--lm"], "vocab 2\n0.5 0.5\n\n0.2 0.3 0.5\n0.5 0.5\n",
@@ -242,7 +246,8 @@ class TestConfigParsing:
             (["schemes", "--scheme", "srl", "--lm"], "# model\nvocabulary 2\n0.5 0.5\n",
              "{path}, line 2: first line must be 'vocab N', got 'vocabulary 2'"),
         ],
-        ids=["edge-triple", "row-sum", "row-length", "row-count", "header-word"],
+        ids=["edge-triple", "edge-target-range", "edge-source-range", "row-sum", "row-length",
+             "row-count", "header-word"],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, capsys, args, text, message):
         path = tmp_path / "in.txt"

@@ -116,8 +116,14 @@ def _assert_same_paths(net: FlowNetwork, source: int, sink: int):
     return total
 
 
-@pytest.mark.parametrize("n, m", [(8, 2), (8, 4), (12, 3), (10, 5)])
-@pytest.mark.parametrize("rho_kind", [0.2, 1.0, 5.0, "fraction"])
+_AGNOSTIC_SIZES = ((8, 2), (8, 4), (12, 3), (10, 5))
+
+
+@pytest.mark.parametrize(
+    "rho_kind, n, m",
+    [(kind, n, m) for kind in (0.2, 1.0, 5.0, "fraction") for n, m in _AGNOSTIC_SIZES]
+    + [(1.0, 16, 4)],  # the largest network the lp-flow benchmark builds
+)
 def test_agnostic_networks_match_fifo(monkeypatch, n, m, rho_kind):
     rng = np.random.default_rng([n, m, 0 if rho_kind == "fraction" else int(rho_kind * 10)])
     if rho_kind == "fraction":
