@@ -274,10 +274,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, line in read_lines(path):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}, line {lineno}: expected key=value, got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key in pairs:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+            raise ConfigError(f"{path}, line {lineno}: key {key!r} given twice")
         pairs[key] = value
     return pairs
 

@@ -7,7 +7,8 @@ that visits only those count vectors, or a binomial specialization for two
 outcomes), estimates it by Monte Carlo, provides the two-point minimum-entropy
 instance behind the rate lower bound, evaluates the closed-form lower/upper
 bounds on the tokens needed for target error levels, and searches for the
-empirical crossing point.
+empirical crossing point.  The walk's frontier is three arrays, about 24 B a
+prefix; it refuses before it builds a level past ``MAX_WALK_PREFIXES`` prefixes.
 
 The first-crossing scan evaluates two-outcome supports a chunk of
 consecutive lengths at a time, over only the classes above alpha,
@@ -97,6 +98,16 @@ def _support(rho0: DiscreteDist) -> list[float]:
     return [float(p) for p in rho0.probs if float(p) > 0.0]
 
 
+def _kept_range(slope: float, low: np.ndarray, top: np.ndarray) -> tuple:
+    """The counts c in 0..top with c*slope > low, one run: (first, how many), in floats."""
+    if slope > 0.0:
+        lo = np.minimum(np.maximum(np.floor(low / slope) + 1.0, 0.0), top + 1.0)
+        return lo, top + 1.0 - lo
+    if slope < 0.0:
+        return 0.0, np.minimum(np.maximum(np.ceil(low / slope), 0.0), top + 1.0)
+    return 0.0, np.where(low < 0.0, top + 1.0, 0.0)
+
+
 def _beta_binomial(
     log_p: float, log_q: float, n_lo: int, n_hi: int, log_alpha: float
 ) -> np.ndarray:
@@ -112,17 +123,10 @@ def _beta_binomial(
     (one length at least); returns their misses.
     """
     ns = np.arange(n_lo, n_hi)
-    slope = log_q - log_p
     # j*slope > low keeps j; slope is 0 or at least about 1e-16 in size
     # (p + q = 1), so low / slope stays finite
     low = (log_alpha - 1e-9 * abs(log_alpha)) - ns * (log_p + 1e-9 * max(-log_p, -log_q))
-    if slope > 0.0:
-        lo = np.minimum(np.maximum(np.floor(low / slope) + 1.0, 0.0), ns + 1.0)
-        width = ns + 1.0 - lo
-    elif slope < 0.0:
-        lo, width = 0.0, np.minimum(np.maximum(np.ceil(low / slope), 0.0), ns + 1.0)
-    else:
-        lo, width = 0.0, np.where(low < 0.0, ns + 1.0, 0.0)
+    lo, width = _kept_range(log_q - log_p, low, ns)
     cells = width.cumsum()
     taken = max(1, int(cells.searchsorted(SCAN_CELLS, "right")))
     shift = (cells - width - lo)[:taken].astype(np.int64)  # cell index - j
@@ -146,45 +150,41 @@ def _beta_binomial(
     return betas
 
 
-def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
-    """Sum over the count-vector classes above alpha, in log space, by fsum.
+def _classes(log_probs: list[float], n: int, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log P, log count) of the count-vector classes of n tokens that can reach cut.
 
-    Walks the outcomes level by level, keeping a frontier of prefixes (tokens
-    left, log class probability, log multinomial).  A prefix at
-    log-probability lc with r tokens left completes to at most
-    lc + r*max(log_probs[idx:]), linear in each count; runs of children under
-    log(alpha)*(1 + 1e-9), a margin far above rounding, are cut.  Kept classes
-    take the full walk's float steps and fsum rounds exactly: bit-identical.
-    More than ``MAX_WALK_PREFIXES`` kept prefixes in all raise ``ResourceLimit``."""
-    log_probs = [math.log(p) for p in probs]
+    The frontier of prefixes after each outcome is three arrays (tokens left,
+    log class probability, log multinomial).  A prefix at lc with r tokens left
+    completes to at most lc + r*(largest log-probability to come), linear in the
+    next count, so ``_kept_range`` gives the counts kept.  Classes take the float
+    steps of a walk over every class."""
     best = np.maximum.accumulate(log_probs[::-1])[::-1].tolist()  # suffix maxima
-    log_alpha = math.log(alpha)
-    cut = log_alpha * (1.0 + 1e-9)
-    lgam = math.lgamma
-    frontier = [(n, 0.0, lgam(n + 1))]
+    table = _logfact(n)
+    left, log_class, log_mult = np.array([n]), np.zeros(1), table[n : n + 1]
     budget = MAX_WALK_PREFIXES  # prefixes the walk may still keep
     for lp, rest in zip(log_probs[:-1], best[1:]):
-        kept = []
-        for remaining, log_class, log_mult in frontier:
-            for c in range(remaining, -1, -1) if lp >= rest else range(remaining + 1):
-                child = log_class + c * lp
-                if child + (remaining - c) * rest < cut:
-                    break  # the bound only falls from here on
-                kept.append((remaining - c, child, log_mult - lgam(c + 1)))
-            if len(kept) > budget:
-                raise ResourceLimit(
-                    f"the exact count-vector walk kept more than {MAX_WALK_PREFIXES} "
-                    "prefixes; too large, use the Monte Carlo estimator"
-                )
-        budget -= len(kept)
-        frontier = kept
-    terms = []
-    for remaining, log_class, log_mult in frontier:
-        log_class += remaining * log_probs[-1]
-        if log_class > log_alpha:
-            log_mult -= lgam(remaining + 1)
-            terms.append(math.exp(log_mult + log_class) * (-math.expm1(log_alpha - log_class)))
-    return math.fsum(terms)
+        lo, width = _kept_range(lp - rest, cut - (log_class + left * rest), left)
+        kept = int(width.sum())
+        if kept > budget:
+            raise ResourceLimit(
+                f"the exact count-vector walk kept more than {MAX_WALK_PREFIXES} "
+                "prefixes; too large, use the Monte Carlo estimator"
+            )
+        budget -= kept
+        parent = np.repeat(np.arange(len(width)), width.astype(np.int64))
+        c = np.arange(kept) - (width.cumsum() - width - lo).astype(np.int64)[parent]
+        left, log_class = left[parent] - c, log_class[parent] + c * lp
+        log_mult = log_mult[parent] - table[c]
+    return log_class + left * log_probs[-1], log_mult - table[left]
+
+
+def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
+    """The UMP miss: fsum over the classes above alpha; the cut's 1e-9 margin dwarfs rounding."""
+    log_alpha = math.log(alpha)
+    log_class, log_count = _classes([math.log(p) for p in probs], n, log_alpha * (1.0 + 1e-9))
+    above = log_class > log_alpha
+    a, b = (log_count + log_class)[above].tolist(), (log_alpha - log_class[above]).tolist()
+    return math.fsum(math.exp(x) * -math.expm1(y) for x, y in zip(a, b))
 
 
 def type2_product_exact(

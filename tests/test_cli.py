@@ -100,13 +100,13 @@ class TestConfigParsing:
     def test_config_file_bad_line(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("h 0.2\n")
-        with pytest.raises(Exception, match="key=value"):
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}, line 1: expected key=value")):
             build_config(["rates", "--config", str(cfg), "--seed", "1"])
 
     def test_key_twice_in_one_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("h=0.2\n# later\nh = 0.3\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:3: key 'h' given twice")):
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}, line 3: key 'h' given twice")):
             build_config(["rates", "--config", str(cfg), "--seed", "1"])
         assert main(["rates", "--config", str(cfg), "--seed", "1"]) == 2
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +93,19 @@ class TestExactProduct:
         monkeypatch.setattr(rates, "MAX_WALK_PREFIXES", 19)
         with pytest.raises(ResourceLimit):
             type2_product_exact(rho, 4, 1e-6)
+
+    def test_refusal_is_memory_bounded(self):
+        # at the default budget the walk keeps 1 184 039 prefixes of uniform(12),
+        # n=20, and refuses before building the next level of 3 108 105; at
+        # 24 B a prefix the largest level is about 21 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="Monte Carlo"):
+                type2_product_exact(DiscreteDist.uniform(12), 20, 1e-30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_many_classes_few_above_alpha(self):
         # C(61, 11) classes, none above alpha: the walk cuts at the root
@@ -196,20 +210,25 @@ class TestPrunedCountVectors:
             self.assert_same(rho, n, alpha)
 
     def test_work_tracks_kept_classes(self, monkeypatch):
-        # one lgamma per visited node: a few per kept class, not one per class
-        calls = 0
-        lgamma = math.lgamma
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return lgamma(x)
-
-        monkeypatch.setattr(math, "lgamma", counted)
+        # the budget counts kept prefixes: a few per kept class, not one per
+        # class (the full walk visits 501 501 classes)
+        monkeypatch.setattr(rates, "MAX_WALK_PREFIXES", 10)
         rho = DiscreteDist(probs=(0.999, 0.0006, 0.0004))
-        value = type2_product_exact(rho, 1000, 0.01, method="count-vectors")
-        assert value > 0.0
-        assert calls < 100  # the full walk visits 501 501 classes
+        assert type2_product_exact(rho, 1000, 0.01, method="count-vectors") > 0.0
+
+    @pytest.mark.parametrize(
+        "probs",
+        [DiscreteDist.uniform(3).probs, (0.4, 0.3, 0.3), (0.3, 0.3, 0.4), (0.1, 0.2, 0.3, 0.4),
+         (0.1, 0.4, 0.2, 0.3)],
+        ids=["uniform", "tie-after-largest", "largest-last", "ascending", "mixed"],
+    )
+    def test_every_slope_of_the_kept_range(self, probs):
+        # the next outcome's count c is kept while c*(log p - log p_max after
+        # it) clears the cut: slope > 0 with the largest first, 0 on a tie with
+        # a later largest outcome, < 0 when a larger outcome comes later
+        for n in (1, 2, 7, 20):
+            for alpha in (0.9, 0.3, 1e-2, 1e-4, 1e-8, 1e-12):
+                self.assert_same(DiscreteDist(probs=probs), n, alpha)
 
     def test_wide_support_walks_without_recursion(self):
         # one token, every outcome 1/k > alpha = 0.5/k: beta = k*(1/k - alpha) = 0.5;
@@ -218,6 +237,24 @@ class TestPrunedCountVectors:
         wide = type2_product_exact(DiscreteDist.uniform(1100), 1, 0.5 / 1100)
         assert narrow == pytest.approx(0.5, rel=1e-12)
         assert wide == pytest.approx(narrow, rel=1e-12)
+
+
+class TestClassWalk:
+    """``rates._classes`` uncut: every count-vector class, with its probability
+    and its number of sequences."""
+
+    @pytest.mark.parametrize(
+        "probs, n",
+        [((0.3, 0.7), 1), ((0.3, 0.7), 12), ((0.5, 0.5), 9), ((0.5, 0.3, 0.2), 10),
+         ((1 / 3,) * 3, 8), ((0.1, 0.2, 0.3, 0.4), 9), ((0.6,) + (0.1,) * 4, 6)],
+    )
+    def test_uncut_walk_returns_every_class(self, probs, n):
+        k = len(probs)
+        log_p, log_count = rates._classes([math.log(p) for p in probs], n, -math.inf)
+        assert len(log_p) == len(log_count) == math.comb(n + k - 1, k - 1)
+        total = math.fsum(math.exp(c + p) for c, p in zip(log_count, log_p))
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert sum(round(math.exp(c)) for c in log_count) == k**n
 
 
 def _hex(values):
