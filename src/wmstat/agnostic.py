@@ -150,19 +150,18 @@ def build_agnostic_coupling(rho: DiscreteDist, law: UniformRegionLaw) -> tuple[C
     big = Fraction(2) if exact else 2.0
 
     subsets = [Region.of(c) for c in itertools.combinations(range(law.n), law.region_size)]
-    source, sink = 0, 1
-    node_x = lambda x: 2 + x
-    node_a = lambda a: 2 + law.n + a
+    # nodes: source 0, sink 1, outcome x at 2 + x, subset a at 2 + n + a
+    source, sink, outcomes = 0, 1, range(2, 2 + law.n)
+    subset_nodes = range(2 + law.n, 2 + law.n + n_subsets)
+    pairs = [(x, a) for a, region in enumerate(subsets) for x in region.members]
     net = FlowNetwork(n_nodes=2 + law.n + n_subsets)
-    source_edges = [net.add_edge(source, node_x(x), probs[x]) for x in range(law.n)]
-    pair_edges: dict[tuple[int, int], int] = {}
-    for a, region in enumerate(subsets):
-        for x in region.members:
-            pair_edges[(x, a)] = net.add_edge(node_x(x), node_a(a), big)
-    sink_edges = [net.add_edge(node_a(a), sink, subset_quota) for a in range(n_subsets)]
+    source_edges = net.add_edges([source] * law.n, outcomes, probs)
+    pair_edges = net.add_edges([outcomes[x] for x, _ in pairs], [subset_nodes[a] for _, a in pairs],
+                               [big] * len(pairs))
+    sink_edges = net.add_edges(subset_nodes, [sink] * n_subsets, [subset_quota] * n_subsets)
 
     net.max_flow(source, sink)
-    flows = [(x, a, f) for (x, a), eid in pair_edges.items() if (f := net.flow_on(eid)) > 0]
+    flows = [(x, a, f) for (x, a), eid in zip(pairs, pair_edges) if (f := net.flow_on(eid)) > 0]
     # Complete the coupling: pair leftover outcome mass with leftover subset
     # quota (northwest-corner).  No leftover pair can cover its outcome, or
     # the flow would admit one more augmenting path.

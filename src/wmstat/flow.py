@@ -21,8 +21,11 @@ shortest path lies in the same level graph.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 FLOAT_CUTOFF = 1e-12
 
@@ -47,17 +50,37 @@ class FlowNetwork:
             raise ValueError(f"node id {node} outside 0..{self.n_nodes - 1}")
         return index
 
+    def _nodes(self, nodes) -> list[int]:
+        """``nodes`` as indices of this network, range-checked at once; ValueError naming a bad one."""
+        ids = np.asarray(nodes)
+        if ids.dtype.kind in "iu" and (not ids.size or 0 <= ids.min() and ids.max() < self.n_nodes):
+            return ids.tolist()
+        return [self._node(node) for node in nodes]  # raises at the first bad id
+
+    def add_edges(self, tails, heads, capacities) -> range:
+        """Directed edges ``tails[i] -> heads[i]`` of capacity ``capacities[i]``, in that order.
+
+        Returns their ids (each reverse edge is id ^ 1).  The node ids and
+        capacities are all checked before the network changes.
+        """
+        tails, heads, capacities = self._nodes(tails), self._nodes(heads), list(capacities)
+        if not len(tails) == len(heads) == len(capacities):
+            raise ValueError("tails, heads and capacities must have the same length")
+        if any(c < 0 for c in capacities):
+            raise ValueError("capacity must be >= 0")
+        first = len(self.to)
+        self.to.extend(itertools.chain.from_iterable(zip(heads, tails)))
+        # each reverse edge starts empty, with its forward edge's type
+        self.cap.extend(itertools.chain.from_iterable((c, c * 0) for c in capacities))
+        ids = range(first, len(self.to), 2)
+        for eid, u, v in zip(ids, tails, heads):
+            self.adj[u].append(eid)
+            self.adj[v].append(eid + 1)
+        return ids
+
     def add_edge(self, u: int, v: int, capacity) -> int:
         """Directed edge u -> v; returns its id (reverse edge is id ^ 1)."""
-        u, v = self._node(u), self._node(v)
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        eid = len(self.to)
-        self.to.extend((v, u))
-        self.cap.extend((capacity, capacity * 0))  # reverse starts empty, same type
-        self.adj[u].append(eid)
-        self.adj[v].append(eid + 1)
-        return eid
+        return self.add_edges((u,), (v,), (capacity,))[0]
 
     def flow_on(self, eid: int):
         """Flow pushed through edge ``eid`` (its reverse edge's residual)."""

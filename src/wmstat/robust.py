@@ -98,7 +98,9 @@ def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
     """Edits of length-n strings over k symbols changing at most c positions.
 
     Vertices are all strings in lexicographic order; the graph is symmetric
-    and includes self-loops (distance 0).
+    and includes self-loops (distance 0).  Each set of at most c positions
+    and nonzero shift of their symbols (mod k) gives each vertex one distinct
+    neighbour, found from its index by place-value arithmetic.
     """
     _check_int(k=k, n=n, c=c)
     if k < 1 or n < 0 or c < 0:
@@ -106,13 +108,18 @@ def hamming_graph(k: int, n: int, c: int) -> PerturbationGraph:
     n_vertices = k**n
     if n_vertices > MAX_HAMMING_VERTICES:
         raise ResourceLimit(f"{n_vertices} vertices exceed cap {MAX_HAMMING_VERTICES}")
-    # [k**n, n], one string per row; the reshape keeps n=0 a single empty string
-    strings = np.array(list(itertools.product(range(k), repeat=n))).reshape(n_vertices, n)
-    return PerturbationGraph(
-        out_adj=tuple(
-            tuple(np.flatnonzero((strings != s).sum(axis=1) <= c).tolist()) for s in strings
-        )
-    )
+    index = np.arange(n_vertices)
+    place = k ** np.arange(n - 1, -1, -1)
+    digits = index[:, None] // place % k  # [k**n, n]; n = 0 keeps one empty string
+    step = lambda i, s: ((digits[:, i] + s) % k - digits[:, i]) * place[i]  # shift position i by s
+    neighbours = [
+        index + sum(step(i, s) for i, s in zip(positions, shift))
+        for size in range(min(c, n) + 1)
+        for positions in itertools.combinations(range(n), size)
+        for shift in itertools.product(range(1, k), repeat=size)
+    ]
+    out_adj = np.sort(np.stack(neighbours, axis=1)).tolist()
+    return PerturbationGraph(out_adj=tuple(map(tuple, out_adj)))
 
 
 def shrinkage(graph: PerturbationGraph, region: Region) -> Region:

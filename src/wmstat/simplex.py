@@ -8,13 +8,19 @@ lower bound, or an upper bound that is infinite or negative.  On this family
 the all-slack basis is feasible and the box bounds the optimum, so a single
 phase of pivoting from the slack basis always ends at an optimal vertex.
 
-Each upper bound is one more ``<=`` row of the tableau, and the objective's
-reduced costs are its last row, so a pivot is one whole-array update of the
-tableau.  Bland's rule (first improving column; minimum ratio with ties to
-the smallest basis index) ends cycling, and the returned point passes a
-bound and residual check.  Each LP row is read once, into the tableau's
-numbers: float64 in float mode, which pivots with 1e-9 tolerances.  Exact
-mode reads each row into Python integers scaled by the LCM of that row's
+Each upper bound is a row x_j + s_j = hi_j that the tableau holds only once
+a pivot on another row has to change it.  Until then it joins the ratio test
+only when x_j or s_j enters, and a pivot on it is a bound flip (one of
+``pivots``): x_j and s_j trade places, changing only their two columns and
+the right-hand side of the rows with an entry in the entering column.  Any
+other pivot updates whole written rows, the objective's reduced costs among
+them.  Every entry is the one a tableau holding all bound rows would store,
+up to the sign of a zero nothing reads, so pivots, vertex and objective are
+bit for bit that tableau's.  Bland's rule (first improving column; minimum
+ratio with ties to the smallest basis index) ends cycling, and the returned
+point passes a bound and residual check.  Each LP row is read once, into the
+tableau's numbers: float64 in float mode, which pivots with 1e-9 tolerances.
+Exact mode reads each row into Python integers scaled by the LCM of that row's
 denominators, and pivots with zero tolerance by integer-preserving
 elimination (Edmonds 1967; Bareiss 1968): all rows share one positive
 divisor, the last pivot element, so the entries stay integers and no gcd is
@@ -76,48 +82,75 @@ class LpSolution:
     pivots: int = 0  # simplex pivots taken to reach x
 
 
-def _leaving_row(tableau, basis, col: int, tol) -> int:
-    """Minimum-ratio row for entering column ``col``; ties go to the smallest basis index."""
-    rows = np.flatnonzero(tableau[:-1, col] > tol)
-    if not len(rows):
-        raise AssertionError(f"no leaving row for column {col}: the box bounds every LpProblem")
-    if tableau.dtype != object:
-        ratios = tableau[rows, -1] / tableau[rows, col]
-        ties = rows[ratios == ratios.min()]
-        return ties[np.argmin(basis[ties])]
-    # integer rows: the ratio T[i, -1] / T[i, col] (row i's positive divisor
-    # cancels), compared by cross-multiplying
-    best = rows[0]
-    for i in rows[1:]:
-        left, right = tableau[i, -1] * tableau[best, col], tableau[best, -1] * tableau[i, col]
-        if left < right or left == right and basis[i] < basis[best]:
+def _leaving_row(rhs, coef, keys) -> int:
+    """Position of the minimum ratio ``rhs / coef``; ties go to the smallest key, a basis index."""
+    if not len(rhs):
+        raise AssertionError("no leaving row: the box bounds every LpProblem")
+    if rhs.dtype != object:
+        return np.lexsort((keys, rhs / coef))[0]
+    # integer rows: row i's positive divisor cancels from rhs_i / coef_i, and
+    # the ratios are compared by cross-multiplying
+    best = 0
+    for i in range(1, len(rhs)):
+        left, right = rhs[i] * coef[best], rhs[best] * coef[i]
+        if left < right or left == right and keys[i] < keys[best]:
             best = i
     return best
 
 
-def _pivot(tableau, row: int, col: int) -> None:
-    """Divide the pivot row, then clear ``col`` from every other row, objective included."""
+def _pivot(tableau, row: int, col: int, hit) -> None:
+    """Divide the pivot row, then clear ``col`` from the other rows in ``hit``, those with an entry in it."""
     tableau[row] /= tableau[row, col]
-    rows = np.flatnonzero(tableau[:, col])
-    rows = rows[rows != row]
+    rows = hit[hit != row]
     tableau[rows] -= np.outer(tableau[rows, col], tableau[row])
 
 
-def _pivot_integer(tableau, divisor: int, row: int, col: int) -> int:
+def _pivot_integer(tableau, bound, divisor: int, row: int, col: int, hit) -> int:
     """Integer-preserving pivot; returns the new common divisor, the pivot element ``p``.
 
-    Every other row becomes ``(p T_i - T_i[col] T_row) // divisor``, an exact
-    division by Sylvester's identity (rows with a zero in ``col`` are only
-    rescaled), and the pivot row keeps its integers.
+    Every row in ``hit``, those with an entry in ``col``, becomes
+    ``(p T_i - T_i[col] T_row) // divisor``, an exact division by Sylvester's
+    identity; the other rows, the unwritten bound rows ``bound`` among them,
+    are only rescaled, and the pivot row keeps its integers.
     """
     p, kept = tableau[row, col], tableau[row].copy()
-    rows = np.flatnonzero(tableau[:, col])
-    factors = tableau[rows, col]
+    factors = tableau[hit, col]
     tableau *= p
-    tableau[rows] -= np.outer(factors, kept)
+    tableau[hit] -= np.outer(factors, kept)
     tableau //= divisor
     tableau[row] = kept
+    bound *= p
+    bound //= divisor
     return p
+
+
+def _flip(tableau, bound, divisor, j: int, col: int, other: int, hit) -> int:
+    """Pivot on unwritten bound row ``j``, ``col`` entering and ``other`` leaving; returns the new divisor.
+
+    Row j is a in columns ``col`` and ``other`` (x_j and s_j, in either
+    order), b on the right and 0 elsewhere, so elimination changes only those
+    three columns of the rows in ``hit``, those with an entry in ``col``.  In
+    float mode a is 1.0, so the divided row is the row itself, and
+    T - T * 1.0 is +0.0 exactly; exact mode pivots as ``_pivot_integer``
+    does, rescaling the other rows only if a is not the divisor.
+    """
+    a, b = bound[j]
+    factors = tableau[hit, col]
+    if tableau.dtype != object:
+        tableau[hit, col] = 0.0
+        tableau[hit, other] -= factors
+        tableau[hit, -1] -= factors * b
+        return divisor
+    block = np.ix_(hit, [col, other, -1])
+    cleared = (tableau[block] * a - np.outer(factors, (a, a, b))) // divisor
+    if a != divisor:
+        tableau *= a
+        tableau //= divisor
+        bound *= a
+        bound //= divisor
+        bound[j] = a, b
+    tableau[block] = cleared
+    return a
 
 
 def _integer_row(values) -> tuple[list[int], int]:
@@ -152,41 +185,70 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     rhs, scale, cost = (np.array(v, dtype=dtype) for v in (rhs, scale, cost))
     a = np.array(a, dtype=dtype).reshape(n_rows, n)
 
-    # columns: the variables, one slack per row, the right-hand side;
-    # rows: the m constraint rows, then the objective's reduced costs
-    tableau = np.zeros((m + 1, n + m + 1), dtype=dtype)
+    # columns: the variables, one slack per LP row (the constraints, then the
+    # bounds), the right-hand side; rows: the constraints, the objective's
+    # reduced costs, then the bound rows as written.  Unwritten bound row j is
+    # bound[j] = (a, b): a in columns x_j and s_j, b on the right, 0
+    # elsewhere.  Rows are zeroed as they come into use, so memory past the
+    # written rows is never touched (np.zeros would clear reused memory).
+    tableau = np.empty((m + 1, n + m + 1), dtype=dtype)
+    tableau[: n_rows + 1] = 0
     tableau[:n_rows, :n] = a
-    tableau[n_rows + np.arange(n), np.arange(n)] = scale[n_rows:m]
-    tableau[np.arange(m), n + np.arange(m)] = scale[:m]
-    tableau[:m, -1] = rhs
-    tableau[m, :n] = -cost
-    basis = np.arange(n, n + m)
+    tableau[np.arange(n_rows), n + np.arange(n_rows)] = scale[:n_rows]
+    tableau[:n_rows, -1] = rhs[:n_rows]
+    tableau[n_rows, :n] = -cost
+    bound = np.stack([scale[n_rows:m], rhs[n_rows:m]], axis=1)
+    basis = np.full(m + 1, n + m)  # the objective row has no basic variable
+    basis[:n_rows] = n + np.arange(n_rows)
+    bound_basis, written = n + n_rows + np.arange(n), np.zeros(n, dtype=bool)
 
     # true entries of row i are T[i, j] / (denominator * s_i), both factors
     # positive; exact mode makes denominator the last pivot element, and s_i
     # is 1 from row i's first pivot on
-    denominator, pivots = 1, 0
-    while len(improving := np.flatnonzero(tableau[m, :-1] < -tol)):
-        col = improving[0]
-        row = _leaving_row(tableau, basis, col, tol)
-        if exact:
-            denominator = _pivot_integer(tableau, denominator, row, col)
+    denominator, pivots, stored = 1, 0, n_rows + 1
+    # Bland's rule: the first column with a negative reduced cost enters
+    while (improving := tableau[n_rows, :-1] < -tol)[col := int(improving.argmax())]:
+        column = tableau[:stored, col]
+        hit = column.nonzero()[0]  # the written rows with an entry in col
+        rows = hit[column[hit] > tol]
+        j = col if col < n else col - n - n_rows  # x_j or s_j enters: bound row j has an entry
+        if unwritten := 0 <= j and not written[j]:
+            # bound row j joins the ratio test from the first unused row,
+            # which stays written unless the row flips
+            other = bound_basis[j]  # row j's basic variable, the other of x_j and s_j
+            tableau[stored] = 0
+            tableau[stored, [col, other, -1]] = bound[j, [0, 0, 1]]
+            basis[stored] = other
+            rows = np.concatenate((rows, [stored]))
+        row = rows[_leaving_row(tableau[rows, -1], tableau[rows, col], basis[rows])]
+        if row == stored:  # a bound flip: x_j and s_j trade places in row j
+            denominator = _flip(tableau[:stored], bound, denominator, j, col, other, hit)
+            bound_basis[j] = col
         else:
-            _pivot(tableau, row, col)
-        basis[row] = col
+            if unwritten:  # this pivot changes bound row j: keep it written
+                written[j] = True
+                hit = np.concatenate((hit, [stored]))
+                stored += 1
+            if exact:
+                denominator = _pivot_integer(tableau[:stored], bound, denominator, row, col, hit)
+            else:
+                _pivot(tableau[:stored], row, col, hit)
+            basis[row] = col
         pivots += 1
 
     # x = X / denominator, since a row with a variable basic has been a pivot
     # row (s_i = 1); the check compares positive multiples of both sides of
     # every LP row, the constraints and then the upper bounds
     X = np.zeros(n, dtype=dtype)
-    structural = basis < n
-    X[basis[structural]] = tableau[:m, -1][structural]
+    structural = basis[:stored] < n
+    X[basis[:stored][structural]] = tableau[:stored, -1][structural]
+    flipped = ~written & (bound_basis < n)  # x_j basic in unwritten row j: x_j = hi_j
+    X[flipped] = bound[flipped, 1]
     excess = np.concatenate([a @ X, X * scale[n_rows:m]]) - rhs * denominator
     if (X < -tol).any() or (excess > tol).any():
         raise AssertionError("solution violates x >= 0, a constraint or an upper bound")
     if exact:
         x = tuple(Fraction(v, denominator) for v in X)
-        return LpSolution(x, Fraction(tableau[m, -1], denominator * scale[m]), pivots=pivots)
+        return LpSolution(x, Fraction(tableau[n_rows, -1], denominator * scale[m]), pivots=pivots)
     # summed left to right: np.sum's pairwise order would move the last bits
     return LpSolution(tuple(X.tolist()), float(sum((cost * X).tolist())), pivots=pivots)

@@ -8,7 +8,8 @@ until it dequeues a node next to the sink.  None of it
 shares code paths with the library, except that ``max_flow_fifo`` works on a
 ``FlowNetwork``'s edge lists with the library's float cutoff, ``ump_oracle``
 solves its exhaustive LP with the library's simplex (itself checked against
-``vertex_enumeration_optimum``), ``max_type2_loss_telescoping`` validates its
+``vertex_enumeration_optimum``), ``simplex_explicit`` pivots with the
+library's float tolerance, ``max_type2_loss_telescoping`` validates its
 input with ``integrality_check``, ``srl_type1_exact`` takes the detector's
 threshold from ``binomial_reject_threshold``, ``type2_product_mc_blocks``
 reads the library's block size ``rates.MC_BLOCK``, and the per-token scheme
@@ -34,8 +35,9 @@ from wmstat.agnostic import integrality_check
 from wmstat.dist import DiscreteDist, ResourceLimit
 from wmstat.flow import FLOAT_CUTOFF, FlowNetwork
 from wmstat.lm import ToyLM
-from wmstat.simplex import LpProblem, LpSolution, simplex_solve
+from wmstat.simplex import FLOAT_TOL, LpProblem, LpSolution, simplex_solve
 from wmstat.streams import substream
+from wmstat.ump import Region
 
 ORACLE_MAX_OUTCOMES = 4
 
@@ -125,6 +127,44 @@ def simplex_rational(problem: LpProblem) -> tuple[LpSolution, int]:
             x[j] = table[r][-1]
     objective = sum(Fraction(c) * v for c, v in zip(problem.objective, x))
     return LpSolution(x=tuple(x), objective=objective, pivots=pivots), ties
+
+
+def simplex_explicit(problem: LpProblem) -> LpSolution:
+    """Float ``simplex_solve`` on a tableau that holds every bound row from the start.
+
+    The reference whose pivots and float bits ``simplex_solve`` must
+    reproduce: the constraint rows, one ``x_j <= hi_j`` row per variable, then
+    the objective's reduced costs, each pivot dividing the pivot row and
+    clearing the column from every other row.  Bland's rule, with the
+    library's tolerance.  (Exact mode's reference is ``simplex_rational``.)
+    """
+    n, n_rows = problem.n_vars, len(problem.constraints)
+    m = n_rows + n
+    cost = np.array(problem.objective, dtype=np.float64)
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:n_rows, :n] = np.array([row for row, _ in problem.constraints]).reshape(n_rows, n)
+    tableau[n_rows + np.arange(n), np.arange(n)] = 1.0
+    tableau[np.arange(m), n + np.arange(m)] = 1.0
+    tableau[:m, -1] = [b for _, b in problem.constraints] + [h for _, h in problem.bounds]
+    tableau[m, :n] = -cost
+    basis = np.arange(n, n + m)
+    pivots = 0
+    while len(improving := np.flatnonzero(tableau[m, :-1] < -FLOAT_TOL)):
+        col = improving[0]
+        rows = np.flatnonzero(tableau[:-1, col] > FLOAT_TOL)
+        ratios = tableau[rows, -1] / tableau[rows, col]
+        ties = rows[ratios == ratios.min()]
+        row = ties[np.argmin(basis[ties])]
+        tableau[row] /= tableau[row, col]
+        hit = np.flatnonzero(tableau[:, col])
+        hit = hit[hit != row]
+        tableau[hit] -= np.outer(tableau[hit, col], tableau[row])
+        basis[row] = col
+        pivots += 1
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = tableau[:m, -1][structural]
+    return LpSolution(tuple(x.tolist()), float(sum((cost * x).tolist())), pivots=pivots)
 
 
 def grid_search_distortion(probs, alpha: float, eps: float, step: float = 0.005) -> float:
@@ -467,6 +507,43 @@ def max_flow_fifo(net: FlowNetwork, source: int, sink: int):
             net.cap[eid ^ 1] += bottleneck
             v = net.to[eid ^ 1]
         total += bottleneck
+
+
+def agnostic_atoms_per_edge(rho: DiscreteDist, law) -> tuple:
+    """``build_agnostic_coupling``'s atoms from a network built one ``add_edge`` call at a time.
+
+    The reference for the library's bulk insertion: source -> outcome edges,
+    then each subset's pair edges, then subset -> sink edges, one call each,
+    a max-flow, and the same northwest-corner completion.
+    """
+    exact = rho.is_exact
+    probs = list(rho.probs) if exact else list(rho.as_floats())
+    quota = Fraction(1, law.n_subsets) if exact else 1.0 / law.n_subsets
+    big = Fraction(2) if exact else 2.0
+    subsets = list(itertools.combinations(range(law.n), law.region_size))
+    net = FlowNetwork(n_nodes=2 + law.n + len(subsets))
+    source_edges = [net.add_edge(0, 2 + x, probs[x]) for x in range(law.n)]
+    pair_edges = {}
+    for a, members in enumerate(subsets):
+        for x in members:
+            pair_edges[(x, a)] = net.add_edge(2 + x, 2 + law.n + a, big)
+    sink_edges = [net.add_edge(2 + law.n + a, 1, quota) for a in range(len(subsets))]
+    net.max_flow(0, 1)
+    flows = [(x, a, f) for (x, a), eid in pair_edges.items() if (f := net.flow_on(eid)) > 0]
+    spare = [(a, quota - net.flow_on(eid)) for a, eid in enumerate(sink_edges)]
+    spare = [(a, s) for a, s in spare if s > 0]
+    for x, eid in enumerate(source_edges):
+        d = probs[x] - net.flow_on(eid)
+        while d > 0 and spare:
+            a, s = spare[0]
+            moved = min(d, s)
+            flows.append((x, a, moved))
+            d, s = d - moved, s - moved
+            if s <= 0:
+                spare.pop(0)
+            else:
+                spare[0] = (a, s)
+    return tuple((x, Region.of(subsets[a]), m) for x, a, m in sorted(flows))
 
 
 # ---------------------------------------------------------------------------

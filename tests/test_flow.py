@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import max_flow_fifo, random_dist
+from oracles import agnostic_atoms_per_edge, max_flow_fifo, random_dist
 from wmstat.agnostic import UniformRegionLaw, build_agnostic_coupling
 from wmstat.dist import DiscreteDist
 from wmstat.flow import FlowNetwork
@@ -76,6 +76,36 @@ def test_bad_node_rejected_before_any_change(u, v):
     assert _state(net) == before
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_bulk_insertion_matches_one_edge_at_a_time(exact):
+    rng = np.random.default_rng(7 + exact)
+    for _ in range(20):
+        net, _, _ = _random_network(rng, exact)
+        bulk = FlowNetwork(n_nodes=net.n_nodes)
+        ids = bulk.add_edges(net.to[1::2], net.to[::2], net.cap[::2])  # tails, heads, capacities
+        assert list(ids) == list(range(0, len(net.to), 2))
+        assert _state(bulk) == _state(net)
+
+
+@pytest.mark.parametrize(
+    "tails, heads, capacities, match",
+    [
+        ((0, 1, 0), (1, 0, 2), (1.0, 1.0, 1.0), "node id 2 outside 0..1"),
+        ((0, 0.5), (1, 1), (1.0, 1.0), "node id 0.5 is not an integer"),
+        ((0, 1), (1, 0), (1.0, -1.0), "capacity must be >= 0"),
+        ((0, 1), (1,), (1.0, 1.0), "same length"),
+    ],
+    ids=["node-out-of-range", "node-not-integer", "negative-capacity", "lengths"],
+)
+def test_bulk_insertion_checks_everything_before_any_change(tails, heads, capacities, match):
+    net = FlowNetwork(n_nodes=2)
+    net.add_edge(0, 1, 1.0)
+    before = _state(net)
+    with pytest.raises(ValueError, match=match):
+        net.add_edges(tails, heads, capacities)
+    assert _state(net) == before
+
+
 def test_negative_capacity_rejected():
     net = FlowNetwork(n_nodes=2)
     with pytest.raises(ValueError):
@@ -119,19 +149,23 @@ def _assert_same_paths(net: FlowNetwork, source: int, sink: int):
 _AGNOSTIC_SIZES = ((8, 2), (8, 4), (12, 3), (10, 5))
 
 
+def _agnostic_rho(n: int, m: int, rho_kind) -> DiscreteDist:
+    """Seeded ρ on n outcomes: Dirichlet of spread ``rho_kind``, or exact integer weights."""
+    rng = np.random.default_rng([n, m, 0 if rho_kind == "fraction" else int(rho_kind * 10)])
+    if rho_kind == "fraction":
+        weights = [int(w) for w in rng.integers(0, 20, size=n)]
+        weights[0] += 1
+        return DiscreteDist(probs=tuple(Fraction(w, sum(weights)) for w in weights))
+    return DiscreteDist(probs=random_dist(rng, n, rho_kind))
+
+
 @pytest.mark.parametrize(
     "rho_kind, n, m",
     [(kind, n, m) for kind in (0.2, 1.0, 5.0, "fraction") for n, m in _AGNOSTIC_SIZES]
     + [(1.0, 16, 4)],  # the largest network the lp-flow benchmark builds
 )
 def test_agnostic_networks_match_fifo(monkeypatch, n, m, rho_kind):
-    rng = np.random.default_rng([n, m, 0 if rho_kind == "fraction" else int(rho_kind * 10)])
-    if rho_kind == "fraction":
-        weights = [int(w) for w in rng.integers(0, 20, size=n)]
-        weights[0] += 1
-        rho = DiscreteDist(probs=tuple(Fraction(w, sum(weights)) for w in weights))
-    else:
-        rho = DiscreteDist(probs=random_dist(rng, n, rho_kind))
+    rho = _agnostic_rho(n, m, rho_kind)
     totals = []
     real = FlowNetwork.max_flow
 
@@ -144,6 +178,16 @@ def test_agnostic_networks_match_fifo(monkeypatch, n, m, rho_kind):
     build_agnostic_coupling(rho, UniformRegionLaw(n=n, region_size=m))
     assert len(totals) == 1
     assert isinstance(totals[0], Fraction if rho_kind == "fraction" else float)
+
+
+@pytest.mark.parametrize(
+    "rho_kind, n, m", [(kind, n, m) for kind in (0.2, 1.0, "fraction") for n, m in _AGNOSTIC_SIZES]
+)
+def test_bulk_built_coupling_matches_per_edge_build(n, m, rho_kind):
+    rho = _agnostic_rho(n, m, rho_kind)
+    coupling, _ = build_agnostic_coupling(rho, UniformRegionLaw(n=n, region_size=m))
+    want = agnostic_atoms_per_edge(rho, UniformRegionLaw(n=n, region_size=m))
+    assert [(x, r, _bits(w)) for x, r, w in coupling.atoms] == [(x, r, _bits(w)) for x, r, w in want]
 
 
 def _random_network(rng: np.random.Generator, exact: bool):

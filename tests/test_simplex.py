@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import random_dist, simplex_rational, vertex_enumeration_optimum
+from oracles import random_dist, simplex_explicit, simplex_rational, vertex_enumeration_optimum
 from wmstat.dist import DiscreteDist
 from wmstat.robust import PerturbationGraph, hamming_graph, robust_lp_build
 from wmstat.simplex import LpProblem, LpSolution, simplex_solve
@@ -100,6 +100,34 @@ UPPER_BOUND_ZERO = LpProblem(
 ZERO_OBJECTIVE = LpProblem(
     objective=(0, 0), constraints=(((1, -1), Fraction(1, 2)),), bounds=((0, 1), (0, 1))
 )
+# x_0 enters and the constraint leaves (pivot element 2), so bound row 0 is
+# written; x_1 then flips to its bound 1/3 with a = 2 * 3, rescaling the rest
+FLIP_AFTER_PIVOT = LpProblem(
+    objective=(1, 1), constraints=(((2, 1), 1),), bounds=((0, 1), (0, Fraction(1, 3)))
+)
+# x_0 flips to 2/3 (a = 3, rescaling); x_1 enters through the constraint, so
+# bound row 1 (scale 2) is written; then s_0 enters through bound row 1, so
+# flipped row 0, x_0 basic, is written first
+BOUND_ROWS_WRITTEN = LpProblem(
+    objective=(1, 2),
+    constraints=(((1, 1), 1),),
+    bounds=((0, Fraction(2, 3)), (0, Fraction(1, 2))),
+)
+
+
+def seeded_rational_boxes(count: int = 12):
+    """Small LPs with integer rows of either sign and fractional upper bounds."""
+    rng = np.random.default_rng(23)
+    for _ in range(count):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        yield LpProblem(
+            objective=tuple(int(c) for c in rng.integers(-2, 6, size=n)),
+            constraints=tuple(
+                (tuple(int(c) for c in rng.integers(-3, 5, size=n)), int(rng.integers(0, 6)))
+                for _ in range(m)
+            ),
+            bounds=tuple((0, Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 5)))) for _ in range(n)),
+        )
 
 
 def rational_hamming_lp(spec, alpha, uniform: bool):
@@ -121,6 +149,10 @@ def exact_identity_cases():
             yield pytest.param(problem, id="hamming-%d-%d-%d-" % spec + f"alpha{float(alpha)}")
     yield pytest.param(UPPER_BOUND_ZERO, id="upper-bound-0")
     yield pytest.param(ZERO_OBJECTIVE, id="zero-objective")
+    yield pytest.param(FLIP_AFTER_PIVOT, id="flip-after-pivot")
+    yield pytest.param(BOUND_ROWS_WRITTEN, id="bound-rows-written")
+    for i, p in enumerate(seeded_rational_boxes()):
+        yield pytest.param(p, id=f"box-{i}")
 
 
 @pytest.mark.parametrize("problem", exact_identity_cases())
@@ -148,6 +180,29 @@ def test_edge_lps_pivot_as_expected():
     assert (s.x, s.objective, s.pivots) == ((0, Fraction(1, 3)), Fraction(2, 3), 2)
     s = simplex_solve(ZERO_OBJECTIVE, exact=True)
     assert (s.x, s.objective, s.pivots) == ((0, 0), 0, 0)
+    s = simplex_solve(FLIP_AFTER_PIVOT, exact=True)
+    assert (s.x, s.objective, s.pivots) == ((Fraction(1, 3), Fraction(1, 3)), Fraction(2, 3), 2)
+    s = simplex_solve(BOUND_ROWS_WRITTEN, exact=True)
+    assert (s.x, s.objective, s.pivots) == ((Fraction(1, 2), Fraction(1, 2)), Fraction(3, 2), 3)
+
+
+def _float_bits(solution):
+    return [v.hex() for v in solution.x], solution.objective.hex(), solution.pivots
+
+
+@pytest.mark.parametrize("sum_row", [False, True], ids=["no-sum", "sum"])
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("spec", [(2, 5, 1), (2, 6, 2), (2, 8, 1), (3, 4, 1)], ids=lambda s: "%d-%d-%d" % s)
+def test_float_bits_match_the_explicit_tableau_on_hamming_lps(spec, alpha, sum_row):
+    graph = hamming_graph(*spec)
+    rho = DiscreteDist(probs=tuple(np.random.default_rng(sum(spec)).dirichlet(np.ones(graph.n)).tolist()))
+    problem = robust_lp_build(rho, alpha, graph, sum_row)
+    assert _float_bits(simplex_solve(problem)) == _float_bits(simplex_explicit(problem))
+
+
+def test_float_bits_match_the_explicit_tableau_on_seeded_lps():
+    for problem in seeded_robust_lps():
+        assert _float_bits(simplex_solve(problem)) == _float_bits(simplex_explicit(problem))
 
 
 class TestAgainstVertexOracle:
