@@ -358,7 +358,17 @@ class ItsConfig(_SchemeConfig):
             )
 
 
-def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray, window: int) -> np.ndarray:
+def _alignment_workspace(batch: int, length: int, window: int, vocab: int) -> tuple:
+    """Float32 buffers of ``_alignment_phi`` at one shape: the padded draws, a cost row per
+    token a text can hold (min(V, L)), ``window + 1`` prefix planes, the difference and minimum."""
+    padded = 2 * length - 1
+    shapes = ((padded, batch), (min(vocab, length), padded, batch),
+              (window + 1, length, batch), (2, length, batch))
+    return tuple(np.empty(shape, dtype=np.float32) for shape in shapes)
+
+
+def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray, window: int,
+                   work: tuple | None = None) -> np.ndarray:
     """Minimum block alignment cost for each keyed draw in the batch.
 
     cost[t, j, i] = sum over the window of |u[t, (j+l) % L] - rank_norm[token
@@ -369,18 +379,20 @@ def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray,
     sum is that prefix sum minus the one ``window`` positions back.  One
     streaming O(L^2) pass per batch row with a ring of ``window + 1`` prefix
     sums, in float32: ties are broken conservatively by the <= rank comparison.
+    Every buffer is ``work``'s, an ``_alignment_workspace`` (a new one if None).
     """
     batch, length = u_all.shape
+    u_pad, costs, ring, (diff, best) = work or _alignment_workspace(batch, length, window, len(rank_norm))
     # [padded position i, t]: positions run along the first axis, so each
     # slice b : b+L below is one contiguous [delta, t] block
-    u_pad = np.concatenate([u_all, u_all[:, :-1]], axis=1).T.astype(np.float32)
+    u_pad[:length] = u_all.T
+    u_pad[length:] = u_all[:, :-1].T
     seen, token_row = np.unique(tokens, return_inverse=True)
     # [token row, i, t]: |u at i - rank of that token|
-    costs = np.abs(u_pad - rank_norm[seen].astype(np.float32)[:, None, None])
-    ring = np.empty((window + 1, length, batch), dtype=np.float32)
+    costs = np.subtract(u_pad, rank_norm[seen].astype(np.float32)[:, None, None], out=costs[: len(seen)])
+    np.abs(costs, out=costs)
     ring[-1] = 0.0  # the prefix sum before position 0
-    diff = np.empty((length, batch), dtype=np.float32)
-    best = np.full((length, batch), np.inf, dtype=np.float32)
+    best.fill(np.inf)
     for b in range(length):
         prefix = ring[b % (window + 1)]
         np.add(ring[(b - 1) % (window + 1)], costs[token_row[b], b : b + length], out=prefix)
@@ -416,15 +428,20 @@ class InverseTransform(_Scheme):
         return lm.paths(len(seeds), cfg.n, permuted), self.meta(lm, seeds, xi)
 
     def test(self, lm: ToyLM, seeds, xi: tuple[np.ndarray, np.ndarray], tokens: np.ndarray, meta):
+        """Each key's p-value, its draw's alignment cost ranked among its resamples.  All keys
+        share one draw matrix (the draws, then ``rng.random((R, L))``'s stream) and workspace."""
         cfg = self.cfg
         length = tokens.shape[1]
         if length < cfg.block_k:
             raise ValueError(f"need at least {cfg.block_k} tokens, got {length}")
         p_values = np.empty(len(seeds))
         rank_norm = np.argsort(xi[1], axis=1) / max(cfg.vocab_size - 1, 1)  # each token's rank
+        u_all = np.empty((cfg.resamples + 1, xi[0].shape[1]))
+        work = _alignment_workspace(*u_all.shape, cfg.block_k - 1, cfg.vocab_size)
         for i, (rng, us) in enumerate(zip(substreams(seeds, (_D_ITS_RESAMPLE,)), xi[0])):
-            u_all = np.vstack([us, rng.random((cfg.resamples, len(us)))])  # the draw, then resamples
-            phi = _alignment_phi(u_all, rank_norm[i], tokens[i], cfg.block_k - 1)
+            u_all[0] = us
+            rng.random(out=u_all[1:])
+            phi = _alignment_phi(u_all, rank_norm[i], tokens[i], cfg.block_k - 1, work)
             p_values[i] = (1.0 + float(np.sum(phi[1:] <= phi[0]))) / (cfg.resamples + 1.0)
         return p_values, p_values <= cfg.target_alpha
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 from oracles import its_token
+from wmstat import schemes
 from wmstat.dist import DiscreteDist
 from wmstat.lm import (ToyLM, biased_binary_lm, deterministic_lm, drifting_lm,
                        fair_coin_lm, load_lm, save_lm)
@@ -26,6 +28,7 @@ from wmstat.schemes import (
     TRIAL_BLOCK,
     WatermarkKey,
     _alignment_phi,
+    _alignment_workspace,
     _erlang_log_sf,
     binomial_reject_threshold,
     erlang_upper_quantile,
@@ -588,6 +591,59 @@ class TestBatchedEngine:
             want = oracles.alignment_phi_tensor(u_all, rank_all, tokens, window)
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (n, window)
+
+    @pytest.mark.parametrize("window", [9, 1])
+    def test_workspace_reused_across_texts_bits(self, window):
+        # one workspace through texts with 6, 1 and 3 distinct tokens, each
+        # under its own ranks: a cost row, ring slot or minimum left from the
+        # call before would move some bit
+        n, batch, vocab = 37, 20, 6
+        rng = np.random.default_rng(window)
+        work = _alignment_workspace(batch, n, window, vocab)
+        texts = (np.arange(n) % 6, np.full(n, 4), rng.choice([0, 2, 5], n))
+        for tokens, distinct in zip(texts, (6, 1, 3)):
+            assert len(np.unique(tokens)) == distinct
+            u_all = rng.random((batch, n))
+            rank_all = rng.permutation(vocab) / (vocab - 1)
+            got = _alignment_phi(u_all, rank_all, tokens, window, work)
+            want = oracles.alignment_phi_tensor(u_all, rank_all, tokens, window)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (window, distinct)
+
+    def test_workspace_call_allocates_no_plane(self):
+        n, batch, window, vocab = 100, 100, 9, 6
+        rng = np.random.default_rng(3)
+        u_all, rank_all = rng.random((batch, n)), rng.permutation(vocab) / (vocab - 1)
+        tokens = rng.integers(vocab, size=n)
+        work = _alignment_workspace(batch, n, window, vocab)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _alignment_phi(u_all, rank_all, tokens, window, work)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak  # one [2L-1, batch] float32 plane is 78 KiB
+
+    def test_vocab_larger_than_text(self, monkeypatch):
+        # V = 32 > L = 12: the cost table holds a row per distinct token a
+        # text can have, and one workspace serves every trial of the block
+        lm = drifting_lm(32)
+        scheme = InverseTransform(ItsConfig(n=12, target_alpha=0.05, resamples=19,
+                                            block_k=BLOCK_K, vocab_size=32))
+        works = []
+
+        def spy(u_all, rank_norm, tokens, window, work):
+            works.append(work)
+            return _alignment_phi(u_all, rank_norm, tokens, window, work)
+
+        monkeypatch.setattr(schemes, "_alignment_phi", spy)
+        for estimate, null_text, seed in ((estimate_type1, True, 64), (estimate_type2, False, 65)):
+            works.clear()
+            assert estimate(scheme, lm, 101, seed)[0] == oracles.estimate_loop(
+                scheme, lm, 101, seed, null_text
+            )
+            assert len(works) == 101 and all(work is works[0] for work in works)
+            assert works[0][1].shape == (12, 2 * 12 - 1, 20)
 
     @pytest.mark.parametrize("model", list(MODELS))
     @pytest.mark.parametrize("n", [0, 1, BLOCK_K])
