@@ -16,10 +16,15 @@ the right-hand side of the rows with an entry in the entering column.  Any
 other pivot updates whole written rows, the objective's reduced costs among
 them.  Every entry is the one a tableau holding all bound rows would store,
 up to the sign of a zero nothing reads, so pivots, vertex and objective are
-bit for bit that tableau's.  Bland's rule (first improving column; minimum
-ratio with ties to the smallest basis index) ends cycling, and the returned
-point passes a bound and residual check.  Each LP row is read once, into the
-tableau's numbers: float64 in float mode, which pivots with 1e-9 tolerances.
+bit for bit that tableau's.  Devex pricing (Harris 1973) picks the entering
+column: the improving one with the largest d_j^2 / w_j, d_j its reduced cost
+and w_j a reference weight that starts at 1 and is updated from each pivot
+row; exact mode prices on the nearest floats of its exact values.  After a
+pivot that takes a zero step, Bland's first improving column enters instead,
+so no run of degenerate pivots cycles.  The leaving row has the minimum
+ratio, ties going to the smallest basis index, and the returned point passes
+a bound and residual check.  Each LP row is read once, into the tableau's
+numbers: float64 in float mode, which pivots with 1e-9 tolerances.
 Exact mode reads each row into Python integers scaled by the LCM of that row's
 denominators, and pivots with zero tolerance by integer-preserving
 elimination (Edmonds 1967; Bareiss 1968): all rows share one positive
@@ -155,9 +160,12 @@ def _flip(tableau, bound, divisor, j: int, col: int, other: int, hit) -> int:
 
 def _integer_row(values) -> tuple[list[int], int]:
     """``values`` times ``s``, the LCM of their denominators, as Python ints; and ``s``."""
-    ratios = [Fraction(v) for v in values]  # numpy integers have no as_integer_ratio
+    # an int or Fraction is read as it is, anything else (floats, numpy
+    # scalars) through Fraction; int() since a Fraction of numpy integers
+    # keeps numpy parts
+    ratios = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     s = math.lcm(*(f.denominator for f in ratios))
-    return [int(f.numerator) * (s // f.denominator) for f in ratios], s
+    return [int(f.numerator) * (s // int(f.denominator)) for f in ratios], s
 
 
 def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
@@ -206,8 +214,15 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     # positive; exact mode makes denominator the last pivot element, and s_i
     # is 1 from row i's first pivot on
     denominator, pivots, stored = 1, 0, n_rows + 1
-    # Bland's rule: the first column with a negative reduced cost enters
-    while (improving := tableau[n_rows, :-1] < -tol)[col := int(improving.argmax())]:
+    # devex reference weights (Harris 1973), one per column
+    weights, zero_step = np.ones(n + m), False
+    while (improving := tableau[n_rows, :-1] < -tol).any():
+        if zero_step:  # the last pivot's leaving row had rhs 0: Bland's first improving column
+            col = int(improving.argmax())
+        else:  # devex: the largest d_j^2 / w_j among reduced costs d_j, ties to the smallest j
+            cols = improving.nonzero()[0]
+            d = (tableau[n_rows, cols] / (denominator * scale[m])).astype(float)
+            col = int(cols[(d * d / weights[cols]).argmax()])
         column = tableau[:stored, col]
         hit = column.nonzero()[0]  # the written rows with an entry in col
         rows = hit[column[hit] > tol]
@@ -221,10 +236,14 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             basis[stored] = other
             rows = np.concatenate((rows, [stored]))
         row = rows[_leaving_row(tableau[rows, -1], tableau[rows, col], basis[rows])]
+        zero_step, w = tableau[row, -1] == 0, weights[col]
         if row == stored:  # a bound flip: x_j and s_j trade places in row j
             denominator = _flip(tableau[:stored], bound, denominator, j, col, other, hit)
             bound_basis[j] = col
+            weights[other] = max(w, 1.0)  # row j's entries are equal: a / a = 1
         else:
+            # the leaving variable's entry in row is 1: it gets max(w / a_row,col^2, 1)
+            weights[basis[row]] = 1.0
             if unwritten:  # this pivot changes bound row j: keep it written
                 written[j] = True
                 hit = np.concatenate((hit, [stored]))
@@ -234,6 +253,11 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             else:
                 _pivot(tableau[:stored], row, col, hit)
             basis[row] = col
+            # w_k = max(w_k, (a_row,k / a_row,col)^2 w) over the pivot row's nonzero entries
+            entries = tableau[row, :-1]
+            k = entries.nonzero()[0]
+            ratio = (entries[k] / entries[col]).astype(float)
+            weights[k] = np.maximum(weights[k], ratio * ratio * w)
         pivots += 1
 
     # x = X / denominator, since a row with a variable basic has been a pivot

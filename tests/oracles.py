@@ -92,12 +92,18 @@ def simplex_rational(problem: LpProblem) -> tuple[LpSolution, int]:
     The path ``simplex_solve(problem, exact=True)`` must take.  It uses the
     same tableau: the constraint rows, one ``x_j <= hi_j`` row per variable,
     then the objective's reduced costs; columns are the variables, one slack
-    per row and the right-hand side.  It pivots by Bland's rule: the first
-    column with a negative reduced cost enters, and the row of minimum ratio
-    leaves, ties going to the smallest basis index.  Each pivot divides the
-    pivot row by ``Fraction`` arithmetic and clears the column from the
-    other rows.  The second value counts the pivots whose minimum ratio was
-    attained by more than one row.
+    per row and the right-hand side.  It prices by devex: each column has a
+    weight w_j, first 1, and the improving column with the largest
+    d_j^2 / w_j enters, d_j its reduced cost as the nearest float, ties going
+    to the smallest index; after a pivot whose leaving row had right-hand
+    side 0, the first improving column enters instead (Bland's rule).  The
+    row of minimum ratio leaves, ties going to the smallest basis index.  A
+    pivot on row r with q entering raises w_k to (a_rk / a_rq)^2 w_q for each
+    nonzero a_rk, the ratio as the nearest float; the leaving variable, whose
+    a_rk is 1, gets that value or 1 if larger.  Each pivot divides the pivot
+    row by ``Fraction`` arithmetic and clears the column from the other rows.
+    The second value counts the pivots whose minimum ratio was attained by
+    more than one row.
     """
     n = problem.n_vars
     rows = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in problem.constraints]
@@ -107,13 +113,26 @@ def simplex_rational(problem: LpProblem) -> tuple[LpSolution, int]:
     table = [a + [Fraction(int(i == r)) for i in range(m)] + [b] for r, (a, b) in enumerate(rows)]
     table.append([-Fraction(c) for c in problem.objective] + [Fraction(0)] * (m + 1))
     basis = list(range(n, n + m))
+    weights = [1.0] * (n + m)
     pivots = ties = 0
-    while (col := next((j for j in range(n + m) if table[m][j] < 0), None)) is not None:
+    zero_step = False
+    while improving := [j for j in range(n + m) if table[m][j] < 0]:
+        if zero_step:
+            col = improving[0]
+        else:
+            scores = [float(table[m][j]) * float(table[m][j]) / weights[j] for j in improving]
+            col = improving[scores.index(max(scores))]
         ratios = {r: table[r][-1] / table[r][col] for r in range(m) if table[r][col] > 0}
         least = min(ratios.values())
         tied = [r for r, ratio in ratios.items() if ratio == least]
         ties += len(tied) > 1
         row = min(tied, key=basis.__getitem__)
+        zero_step = table[row][-1] == 0
+        w_q = weights[col]
+        for k in range(n + m):
+            if table[row][k]:
+                ratio = float(table[row][k] / table[row][col])
+                weights[k] = max(1.0 if k == basis[row] else weights[k], ratio * ratio * w_q)
         table[row] = [v / table[row][col] for v in table[row]]
         for r in range(m + 1):
             f = table[r][col]
@@ -135,7 +154,8 @@ def simplex_explicit(problem: LpProblem) -> LpSolution:
     The reference whose pivots and float bits ``simplex_solve`` must
     reproduce: the constraint rows, one ``x_j <= hi_j`` row per variable, then
     the objective's reduced costs, each pivot dividing the pivot row and
-    clearing the column from every other row.  Bland's rule, with the
+    clearing the column from every other row.  Devex pricing with Bland's
+    rule after a zero step, as ``simplex_rational`` describes, with the
     library's tolerance.  (Exact mode's reference is ``simplex_rational``.)
     """
     n, n_rows = problem.n_vars, len(problem.constraints)
@@ -148,14 +168,25 @@ def simplex_explicit(problem: LpProblem) -> LpSolution:
     tableau[:m, -1] = [b for _, b in problem.constraints] + [h for _, h in problem.bounds]
     tableau[m, :n] = -cost
     basis = np.arange(n, n + m)
-    pivots = 0
+    weights = np.ones(n + m)
+    pivots, zero_step = 0, False
     while len(improving := np.flatnonzero(tableau[m, :-1] < -FLOAT_TOL)):
-        col = improving[0]
+        if zero_step:
+            col = improving[0]
+        else:
+            d = tableau[m, improving]
+            scores = d * d / weights[improving]
+            col = improving[np.flatnonzero(scores == scores.max())[0]]
         rows = np.flatnonzero(tableau[:-1, col] > FLOAT_TOL)
         ratios = tableau[rows, -1] / tableau[rows, col]
         ties = rows[ratios == ratios.min()]
         row = ties[np.argmin(basis[ties])]
+        zero_step = tableau[row, -1] == 0
         tableau[row] /= tableau[row, col]
+        w_q, leaving = weights[col], basis[row]
+        for k in np.flatnonzero(tableau[row, :-1]):
+            ratio = tableau[row, k]
+            weights[k] = max(1.0 if k == leaving else weights[k], ratio * ratio * w_q)
         hit = np.flatnonzero(tableau[:, col])
         hit = hit[hit != row]
         tableau[hit] -= np.outer(tableau[hit, col], tableau[row])

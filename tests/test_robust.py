@@ -205,7 +205,7 @@ class TestRobustLp:
 HAMMING_PINS = {
     (2, 8, 1): "0x1.9586bf0a26260p-5",
     (2, 9, 1): "0x1.8000000000000p-49",
-    (2, 6, 2): "0x1.b654efc3d47ccp-1",
+    (2, 6, 2): "0x1.b654efc3d47d2p-1",
 }
 
 

@@ -93,9 +93,10 @@ def test_exact_matches_float_on_robust_lp():
     assert float(exact.objective) == pytest.approx(approx.objective, abs=1e-12)
 
 
-# x_0 enters first and leaves at once through its bound row: a degenerate pivot
+# x_0 enters first and leaves at once through its bound row: a degenerate
+# pivot, so Bland's rule picks the next column
 UPPER_BOUND_ZERO = LpProblem(
-    objective=(1, 2), constraints=(((1, 1), 1),), bounds=((0, 0), (0, Fraction(1, 3)))
+    objective=(2, 1), constraints=(((1, 1), 1),), bounds=((0, 0), (0, Fraction(1, 3)))
 )
 ZERO_OBJECTIVE = LpProblem(
     objective=(0, 0), constraints=(((1, -1), Fraction(1, 2)),), bounds=((0, 1), (0, 1))
@@ -105,13 +106,26 @@ ZERO_OBJECTIVE = LpProblem(
 FLIP_AFTER_PIVOT = LpProblem(
     objective=(1, 1), constraints=(((2, 1), 1),), bounds=((0, 1), (0, Fraction(1, 3)))
 )
-# x_0 flips to 2/3 (a = 3, rescaling); x_1 enters through the constraint, so
-# bound row 1 (scale 2) is written; then s_0 enters through bound row 1, so
+# x_0 flips to 1/2 (a = 2, rescaling); x_1 enters through the constraint, so
+# bound row 1 (scale 3) is written; then s_0 enters through bound row 1, so
 # flipped row 0, x_0 basic, is written first
 BOUND_ROWS_WRITTEN = LpProblem(
-    objective=(1, 2),
-    constraints=(((1, 1), 1),),
-    bounds=((0, Fraction(2, 3)), (0, Fraction(1, 2))),
+    objective=(2, 1),
+    constraints=(((3, 1), 2),),
+    bounds=((0, Fraction(1, 2)), (0, Fraction(2, 3))),
+)
+# Beale's LP (1955), on which Dantzig's rule cycles: the first four pivots
+# from the slack basis take zero steps, so Bland's rule picks the column
+# after each; the box does not bind, and every value is a float both modes
+# read exactly
+BEALE = LpProblem(
+    objective=(0.75, -20.0, 0.5, -6.0),
+    constraints=(
+        ((0.25, -8.0, -1.0, 9.0), 0.0),
+        ((0.5, -12.0, -0.5, 3.0), 0.0),
+        ((0.0, 0.0, 1.0, 0.0), 1.0),
+    ),
+    bounds=((0.0, 10.0),) * 4,
 )
 
 
@@ -151,6 +165,7 @@ def exact_identity_cases():
     yield pytest.param(ZERO_OBJECTIVE, id="zero-objective")
     yield pytest.param(FLIP_AFTER_PIVOT, id="flip-after-pivot")
     yield pytest.param(BOUND_ROWS_WRITTEN, id="bound-rows-written")
+    yield pytest.param(BEALE, id="beale")
     for i, p in enumerate(seeded_rational_boxes()):
         yield pytest.param(p, id=f"box-{i}")
 
@@ -177,17 +192,25 @@ def test_exact_mode_breaks_ratio_ties_as_the_rational_path():
 
 def test_edge_lps_pivot_as_expected():
     s = simplex_solve(UPPER_BOUND_ZERO, exact=True)
-    assert (s.x, s.objective, s.pivots) == ((0, Fraction(1, 3)), Fraction(2, 3), 2)
+    assert (s.x, s.objective, s.pivots) == ((0, Fraction(1, 3)), Fraction(1, 3), 2)
     s = simplex_solve(ZERO_OBJECTIVE, exact=True)
     assert (s.x, s.objective, s.pivots) == ((0, 0), 0, 0)
     s = simplex_solve(FLIP_AFTER_PIVOT, exact=True)
     assert (s.x, s.objective, s.pivots) == ((Fraction(1, 3), Fraction(1, 3)), Fraction(2, 3), 2)
     s = simplex_solve(BOUND_ROWS_WRITTEN, exact=True)
-    assert (s.x, s.objective, s.pivots) == ((Fraction(1, 2), Fraction(1, 2)), Fraction(3, 2), 3)
+    assert (s.x, s.objective, s.pivots) == ((Fraction(4, 9), Fraction(2, 3)), Fraction(14, 9), 3)
 
 
 def _float_bits(solution):
     return [v.hex() for v in solution.x], solution.objective.hex(), solution.pivots
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_beale_lp_ends_at_the_optimum(exact):
+    s = simplex_solve(BEALE, exact=exact)
+    assert s.objective == pytest.approx(vertex_enumeration_optimum(BEALE), abs=1e-12)
+    if not exact:  # exact mode is held to simplex_rational with the other edge LPs
+        assert _float_bits(s) == _float_bits(simplex_explicit(BEALE))
 
 
 @pytest.mark.parametrize("sum_row", [False, True], ids=["no-sum", "sum"])
@@ -197,6 +220,14 @@ def test_float_bits_match_the_explicit_tableau_on_hamming_lps(spec, alpha, sum_r
     graph = hamming_graph(*spec)
     rho = DiscreteDist(probs=tuple(np.random.default_rng(sum(spec)).dirichlet(np.ones(graph.n)).tolist()))
     problem = robust_lp_build(rho, alpha, graph, sum_row)
+    assert _float_bits(simplex_solve(problem)) == _float_bits(simplex_explicit(problem))
+
+
+def test_float_bits_match_the_explicit_tableau_at_small_alpha():
+    # devex takes 255 pivots here, where Bland's rule alone took 1571
+    graph = hamming_graph(2, 7, 1)
+    rho = DiscreteDist(probs=tuple(np.random.default_rng(10).dirichlet(np.ones(graph.n)).tolist()))
+    problem = robust_lp_build(rho, 0.01, graph)
     assert _float_bits(simplex_solve(problem)) == _float_bits(simplex_explicit(problem))
 
 
@@ -258,15 +289,25 @@ def highs_optimum(problem: LpProblem) -> float:
     return -result.fun
 
 
+def assert_hamming_lps_match_highs(spec, alpha):
+    """Three seeded Dirichlet ρ over ``hamming_graph(*spec)``: the simplex within 1e-9 of HiGHS."""
+    graph = hamming_graph(*spec)
+    rng = np.random.default_rng(sum(spec))
+    for _ in range(3):
+        rho = DiscreteDist(probs=tuple(rng.dirichlet(np.ones(graph.n)).tolist()))
+        problem = robust_lp_build(rho, alpha, graph)
+        assert abs(simplex_solve(problem).objective - highs_optimum(problem)) <= 1e-9
+
+
 class TestAgainstHighs:
     @pytest.mark.parametrize("spec", [(2, 6, 1), (2, 8, 1), (2, 6, 2), (3, 4, 1)])
     def test_hamming_lps(self, spec):
-        graph = hamming_graph(*spec)
-        rng = np.random.default_rng(sum(spec))
-        for _ in range(3):
-            rho = DiscreteDist(probs=tuple(rng.dirichlet(np.ones(graph.n)).tolist()))
-            problem = robust_lp_build(rho, 0.05, graph)
-            assert abs(simplex_solve(problem).objective - highs_optimum(problem)) <= 1e-9
+        assert_hamming_lps_match_highs(spec, 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.005])
+    @pytest.mark.parametrize("spec", [(2, 6, 1), (2, 7, 1), (2, 5, 2), (3, 4, 1)], ids=lambda s: "%d-%d-%d" % s)
+    def test_hamming_lps_at_small_alpha(self, spec, alpha):
+        assert_hamming_lps_match_highs(spec, alpha)
 
     def test_seeded_robust_lps(self):
         for problem in seeded_robust_lps():
@@ -293,6 +334,21 @@ def test_exact_mode_reads_numpy_integers_and_fractions():
     assert (got.x, got.objective, got.pivots) == (want.x, want.objective, want.pivots)
     assert got.pivots > 1
     assert all(type(v.numerator) is int for v in (*got.x, got.objective))
+
+
+def test_exact_mode_reads_fractions_of_numpy_integers():
+    # Fraction keeps numpy parts, and with large denominators an int64 in the
+    # integer rows overflowed
+    def problem(a):
+        return LpProblem(
+            objective=(1, 1),
+            constraints=(((a, Fraction(1, 3_000_000_037)), Fraction(1, 7)), ((Fraction(2, 5), 1), 1)),
+            bounds=((0, 10**6),) * 2,
+        )
+
+    want = simplex_solve(problem(Fraction(1, 3_000_000_019)), exact=True)
+    got = simplex_solve(problem(Fraction(np.int64(1), np.int64(3_000_000_019))), exact=True)
+    assert (got.x, got.objective, got.pivots) == (want.x, want.objective, want.pivots)
 
 
 def test_dimension_validation():
