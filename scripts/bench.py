@@ -15,8 +15,9 @@ file at the repository root has a ``machine`` block, from the benchmark's
 own report; an ``e2e`` block: each workload's gated metrics per seed with
 their medians, and each timing, the CLI's as ``cli.<name>_s`` with its
 ``cli.<name>_exit``; a ``layers`` block: each workload's per-layer metrics
-from its traced run; and ``src_lines``, the line count of
-``src/wmstat/*.py`` as ``cat src/wmstat/*.py | wc -l`` gives it.
+from its traced run; ``src_lines``, the line count of
+``src/wmstat/*.py`` as ``cat src/wmstat/*.py | wc -l`` gives it; and
+``src_lines_by_module``, the same count per file.
 Run it from any directory; it exits 1 if any step failed.
 """
 
@@ -120,9 +121,10 @@ def cli_runs() -> dict:
     return result
 
 
-def src_lines() -> int:
-    """Newlines in ``src/wmstat/*.py``, as ``cat src/wmstat/*.py | wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "wmstat").glob("*.py"))
+def src_lines_by_module() -> dict[str, int]:
+    """Newlines in each ``src/wmstat/*.py``, as ``wc -l`` counts them, by file name."""
+    paths = sorted((ROOT / "src" / "wmstat").glob("*.py"))
+    return {path.name: path.read_bytes().count(b"\n") for path in paths}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,12 +154,14 @@ def main(argv: list[str] | None = None) -> int:
     for key in ("tier1", "criterion_8", "run_all", "cli"):
         print(f"{key}: {e2e[key]}", flush=True)
 
+    by_module = src_lines_by_module()
     bench = {
         "pr": args.pr,
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%MZ"),
         "command": " ".join(["scripts/bench.py", *(argv if argv is not None else sys.argv[1:])]),
         "machine": {**machine, "platform": platform.platform()},
-        "src_lines": src_lines(),
+        "src_lines": sum(by_module.values()),
+        "src_lines_by_module": by_module,
         "e2e": e2e,
         "layers": traced,
     }

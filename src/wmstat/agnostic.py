@@ -8,9 +8,11 @@ value in exact rationals and samples the region law.  One model's least loss
 is its worst-set gap max_U rho(U) - P(region hits U) (Strassen), computed
 exactly in one sorted-prefix pass: ``worst_set_gap`` rounds it once,
 ``strassen_condition_holds`` compares it with a budget, and
-``build_agnostic_coupling`` returns it with a coupling built by max-flow, an
-ordinary ``ump.Coupling`` over (outcome, subset) atoms, so
-``ump.type2_exact`` gives its loss and ``ump.type1_exact`` its level.
+``build_agnostic_coupling`` returns it with a coupling built by max-flow over
+at most ``MAX_ENUM_SUBSETS`` enumerated subsets, an ordinary ``ump.Coupling``
+over (outcome, subset) atoms, so ``ump.type2_exact`` gives its loss and
+``ump.type1_exact`` its level.  Only the coupling needs the subsets: the gap
+has no size cap.
 """
 
 from __future__ import annotations

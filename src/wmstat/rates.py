@@ -192,22 +192,20 @@ def type2_product_exact(
 ) -> float:
     """Exact miss probability of the optimal coupling on n i.i.d. tokens.
 
-    ``method="binomial"`` forces the two-outcome specialization,
-    ``"count-vectors"`` the generic class enumeration; ``"auto"`` picks the
-    binomial path whenever the support has at most two outcomes.
+    ``method="auto"`` takes the binomial specialization on a two-outcome
+    support and the generic class enumeration otherwise;
+    ``"count-vectors"`` forces the class enumeration.
     """
     _check_alpha(alpha)
     _check_int(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     probs = _support(rho0)
-    if method not in ("auto", "binomial", "count-vectors"):
+    if method not in ("auto", "count-vectors"):
         raise ValueError(f"unknown method {method!r}")
     if len(probs) == 1:
         return 1.0 - alpha  # the single sequence has probability 1 > alpha
-    if method == "binomial" or (method == "auto" and len(probs) == 2):
-        if len(probs) != 2:
-            raise ValueError("binomial method needs a two-outcome support")
+    if method == "auto" and len(probs) == 2:
         log_p, log_q = math.log(probs[0]), math.log(probs[1])
         beta = float(_beta_binomial(log_p, log_q, int(n), int(n) + 1, math.log(alpha))[0])
     else:

@@ -168,7 +168,7 @@ def robust_optimal_type2(
 ) -> tuple[float, LpSolution]:
     """Optimal robust miss probability and the LP solution achieving it."""
     solution = simplex_solve(robust_lp_build(rho, alpha, graph, include_sum_row))
-    return 1.0 - float(solution.objective), solution
+    return max(1.0 - float(solution.objective), 0.0), solution  # rounding can pass 0
 
 
 def robust_ump_coupling(

@@ -89,15 +89,6 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class ErrorEstimates:
-    type1: float
-    type1_stderr: float
-    type2: float
-    type2_stderr: float
-    trials: int
-
-
-@dataclass(frozen=True)
 class _SchemeConfig:
     """Text length and level, the first two fields of every scheme's config."""
 
@@ -525,15 +516,3 @@ def estimate_type2(scheme, lm: ToyLM, trials: int, seed: int) -> tuple[float, fl
     rate = (trials - _rejections(scheme, lm, trials, seed, null_text=False)) / trials
     return rate, math.sqrt(rate * (1.0 - rate) / trials)
 
-
-def estimate_errors(scheme, lm: ToyLM, trials: int, seed: int) -> ErrorEstimates:
-    """Monte Carlo Type I/II errors of a scheme over fresh keys."""
-    type1, type1_stderr = estimate_type1(scheme, lm, trials, seed)
-    type2, type2_stderr = estimate_type2(scheme, lm, trials, seed)
-    return ErrorEstimates(
-        type1=type1,
-        type1_stderr=type1_stderr,
-        type2=type2,
-        type2_stderr=type2_stderr,
-        trials=trials,
-    )

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wmstat import schemes
+from wmstat import agnostic, schemes
 from wmstat.cli import CsvTable, ConfigError, build_config, fmt, main
+from wmstat.dist import DiscreteDist
 from wmstat.plots import svg_line_plot
 from wmstat.streams import substream
 
@@ -141,13 +142,6 @@ class TestConfigParsing:
         )
         assert code == 1
         assert "limit" in capsys.readouterr().err
-
-    def test_agnostic_subset_cap_exit_code(self, tmp_path, capsys):
-        # C(18, 6) = 18 564 subsets: above the cap, so the first coupling stops the run
-        out = tmp_path / "a.csv"
-        code = main(["agnostic", "--n", "18", "--alpha", "1/3", "--seed", "1", "--out", str(out)])
-        assert code == 1
-        assert "18564 subsets" in capsys.readouterr().err
 
     def test_bad_level_is_config_error(self, capsys):
         assert main(["ump", "--alphas", "1.5", "--seed", "1"]) == 2
@@ -371,6 +365,19 @@ class TestExperiments:
         assert float(worst[1]) == pytest.approx(3 / 14, abs=1e-9)
         assert all(r[5] == "1" for r in rows)  # strassen holds at budget
 
+    def test_agnostic_loss_is_the_worst_set_gap_past_the_subset_cap(self, tmp_path):
+        # C(18, 6) = 18 564 subsets, more than agnostic.MAX_ENUM_SUBSETS: the
+        # experiment enumerates none, so it runs
+        out = tmp_path / "a.csv"
+        assert main(["agnostic", "--n", "18", "--alpha", "1/3", "--seed", "1", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        law = agnostic.UniformRegionLaw(n=18, region_size=6)
+        worst = DiscreteDist(probs=(Fraction(1, 3),) * 3 + (Fraction(0),) * 15)
+        rng = substream(1, 0)
+        rhos = [worst] + [DiscreteDist(probs=tuple(rng.dirichlet(np.ones(18)))) for _ in range(20)]
+        assert [r[0] for r in rows] == ["worst-uniform"] + [f"random-{t}" for t in range(20)]
+        assert [float(r[1]) for r in rows] == [agnostic.worst_set_gap(rho, law) for rho in rhos]
+
     def test_schemes_unknown_lm(self, capsys):
         assert main(["schemes", "--lm", "gpt", "--seed", "1"]) == 2
         assert "gpt" in capsys.readouterr().err
@@ -401,7 +408,8 @@ class TestExperiments:
         def estimate(*_args, **_kwargs):
             raise AssertionError("an estimate ran before every scheme was checked")
 
-        monkeypatch.setattr(schemes, "estimate_errors", estimate)
+        monkeypatch.setattr(schemes, "estimate_type1", estimate)
+        monkeypatch.setattr(schemes, "estimate_type2", estimate)
         assert main(["schemes", *args, "--seed", "1"]) == 2
         assert capsys.readouterr().err
 

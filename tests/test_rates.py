@@ -52,7 +52,7 @@ class TestExactProduct:
             rho = DiscreteDist(probs=random_dist(rng, 2))
             n = int(rng.integers(1, 40))
             alpha = float(rng.uniform(0.01, 0.6))
-            fast = type2_product_exact(rho, n, alpha, method="binomial")
+            fast = type2_product_exact(rho, n, alpha)
             slow = type2_product_exact(rho, n, alpha, method="count-vectors")
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -668,12 +668,10 @@ class TestRequiredTokens:
         (lambda: RateCurve(entries=((1, 0.5, -0.1),)), ValueError, "stderr must be >= 0"),
         (lambda: RateCurve(entries=((1, 0.5, 0.0), (3, 0.2, 0.0))).beta_at(2), KeyError,
          "n=2 not in curve"),
-        (lambda: type2_product_exact(DiscreteDist(probs=(0.5, 0.3, 0.2)), 4, 0.1, "binomial"),
-         ValueError, "binomial method needs a two-outcome support"),
         (lambda: n_required_empirical(hard_instance(0.1), 0.01, 1.0, 16), ValueError,
          r"beta must be in \(0,1\), got 1.0"),
     ],
-    ids=["curve-beta", "curve-stderr", "curve-missing-n", "binomial-support", "scan-beta"],
+    ids=["curve-beta", "curve-stderr", "curve-missing-n", "scan-beta"],
 )
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):

@@ -158,6 +158,16 @@ class TestRobustLp:
             beta, _ = robust_optimal_type2(rho, alpha, PerturbationGraph.self_loops_only(k))
             assert beta == pytest.approx(clipped_surplus(rho.probs, alpha), abs=1e-9)
 
+    def test_miss_never_negative_at_a_loose_level(self):
+        # at alpha = 0.9 the optimum is near 1, and 1 - objective rounds below 0 unclamped
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            rho = DiscreteDist(probs=random_dist(rng, k))
+            for sum_row in (False, True):
+                beta, _ = robust_optimal_type2(rho, 0.9, PerturbationGraph.self_loops_only(k), sum_row)
+                assert beta >= 0.0
+
     def test_more_edges_never_help(self):
         rng = np.random.default_rng(12)
         for _ in range(20):

@@ -32,7 +32,6 @@ from wmstat.schemes import (
     _erlang_log_sf,
     binomial_reject_threshold,
     erlang_upper_quantile,
-    estimate_errors,
     estimate_type1,
     estimate_type2,
 )
@@ -355,13 +354,13 @@ class TestErrorEstimation:
         lm = fair_coin_lm()
         scheme = SoftRedList(SoftRedListConfig(n=30, target_alpha=0.05, vocab_size=2))
         with pytest.raises(ValueError):
-            estimate_errors(scheme, lm, trials=10, seed=1)
+            estimate_type1(scheme, lm, trials=10, seed=1)
 
     @pytest.mark.parametrize(
         "trials, seed, message",
         [(100.0, 1, "trials must be an integer"), (100, 1.5, "seed must be an integer")],
     )
-    @pytest.mark.parametrize("estimate", [estimate_type1, estimate_type2, estimate_errors])
+    @pytest.mark.parametrize("estimate", [estimate_type1, estimate_type2])
     def test_counts_must_be_integers(self, estimate, trials, seed, message):
         scheme = SoftRedList(SoftRedListConfig(n=30, target_alpha=0.05, vocab_size=2))
         with pytest.raises(ValueError, match=message):
@@ -426,6 +425,33 @@ class TestExactIidReferences:
         cfg = UmpSequenceConfig(n=n, target_alpha=0.01)
         type1, _ = estimate_type1(UmpSequence(cfg), oracles.iid_lm(row), trials=4000, seed=73)
         self.assert_within_4_sigma(type1, oracles.ump_type1_iid_exact(row, n, 0.01), 4000)
+
+
+class TestDominanceOnTheHardInstance:
+    """No scheme misses less than the optimum β₀, at lengths where β₀ is far from 0 and 1.
+
+    The model repeats ``rates.hard_instance(0.1)`` i.i.d. and α = 0.01, so
+    β₀(n) = ``type2_product_exact`` is 0.43, 0.18 and 0.035 at n = 40, 80 and
+    150: a scheme that beat the optimum would show.  UMP-sequence attains β₀
+    and keyed binary, distortion-free, cannot beat it.  Soft red list joins
+    once its exact distortion ε is computed (its bound is max(β₀ − ε, 0)), and
+    ITS once its block size gives it power that grows with n.
+    """
+
+    TRIALS = 2000
+
+    @pytest.mark.parametrize("n", [40, 80, 150])
+    def test_misses_against_the_exact_optimum(self, n):
+        row, alpha = hard_instance(0.1), 0.01
+        lm = oracles.iid_lm(row)
+        beta0 = type2_product_exact(row, n, alpha)
+        sigma = math.sqrt(beta0 * (1 - beta0) / self.TRIALS)
+        ump = UmpSequence(UmpSequenceConfig(n=n, target_alpha=alpha))
+        ump_miss, _ = estimate_type2(ump, lm, trials=self.TRIALS, seed=74)
+        assert abs(ump_miss - beta0) <= 4 * sigma
+        christ = ChristBinary(ChristBinaryConfig(n=n, target_alpha=alpha))
+        christ_miss, _ = estimate_type2(christ, lm, trials=self.TRIALS, seed=74)
+        assert christ_miss >= beta0 - 4 * sigma
 
 
 class TestToyLmIo:
