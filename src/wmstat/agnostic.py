@@ -25,9 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dist import DiscreteDist, ResourceLimit, _check_int, binom_exact
+from .dist import DiscreteDist, ResourceLimit, _check_int, _integer_row, binom_exact
 from .flow import FlowNetwork
-from .simplex import _integer_row
 from .ump import Coupling, Region
 
 # C(16, 8): n=16, m=8 builds in 0.47 s with a float Dirichlet(1) rho and 1.0 s with the exact

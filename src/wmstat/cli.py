@@ -8,8 +8,9 @@ Config files are plain key=value lines, each key at most once.  Every key,
 ``--key value`` pair; the command line wins, and the first file to name a
 key wins over later ones.  Every experiment draws all randomness through
 (seed, stream id) substreams and reduces in fixed order, so a given config
-and seed produce byte-identical CSV on every run.  ``agnostic`` reads each
-loss from ``worst_set_gap`` and builds no coupling, so it has no subset cap.
+and seed produce byte-identical CSV on every run.  ``agnostic`` takes each
+row's exact worst-set gap once, for its loss (rounded) and its Strassen check
+(exact), and builds no coupling, so it has no subset cap.
 Exit codes: 0 success (``--help`` or ``-h`` included), 1 runtime resource
 limit, 2 bad configuration or input (a bare ``wmstat`` included).
 """
@@ -117,11 +118,10 @@ def _run_agnostic(params: dict, seed: int) -> Iterable[tuple]:
     gamma = agnostic.max_type2_loss(n, alpha)
 
     def row(label: str, rho: DiscreteDist) -> tuple:
-        loss = agnostic.worst_set_gap(rho, law)
+        gap = agnostic._worst_gap(rho, law)
         surplus = ump.clipped_surplus(rho.probs, float(alpha))
         exact_budget = gamma + sum(max(Fraction(p) - alpha, 0) for p in rho.probs)
-        ok = agnostic.strassen_condition_holds(rho, law, exact_budget)
-        return label, loss, float(gamma), surplus, float(gamma) + surplus, ok
+        return label, float(gap), float(gamma), surplus, float(gamma) + surplus, gap <= exact_budget
 
     support = int(1 / alpha)
     worst = DiscreteDist(

@@ -3,7 +3,8 @@
 Distributions are plain tuples of outcome probabilities indexed by outcome id
 0..k-1.  Everything downstream (couplings, rate bounds, schemes) builds on the
 handful of functions here: entropy and its binary inverse, total-variation
-distance, exact binomial coefficients, and the rules that make uniforms tokens.
+distance, exact binomial coefficients, exact rationals read as integers over
+one denominator, and the rules that make uniforms tokens.
 """
 
 from __future__ import annotations
@@ -202,6 +203,16 @@ def binom_exact(n: int, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     return Fraction(math.comb(n, k))
+
+
+def _integer_row(values) -> tuple[list[int], int]:
+    """``values`` times ``s``, the LCM of their denominators, as Python ints; and ``s``."""
+    # an int or Fraction is read as it is, anything else (floats, numpy
+    # scalars) through Fraction; int() since a Fraction of numpy integers
+    # keeps numpy parts
+    ratios = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    s = math.lcm(*(f.denominator for f in ratios))
+    return [int(f.numerator) * (s // int(f.denominator)) for f in ratios], s
 
 
 @lru_cache(maxsize=4096)

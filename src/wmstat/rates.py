@@ -9,6 +9,7 @@ instance behind the rate lower bound, evaluates the closed-form lower/upper
 bounds on the tokens needed for target error levels, and searches for the
 empirical crossing point.  The walk's frontier is three arrays, about 24 B a
 prefix; it refuses before it builds a level past ``MAX_WALK_PREFIXES`` prefixes.
+Log-factorials are ``math.lgamma`` of the counts read; no table outlives a call.
 
 The first-crossing scan evaluates two-outcome supports a chunk of
 consecutive lengths at a time, over only the classes above alpha,
@@ -78,20 +79,17 @@ class RateCurve:
         raise KeyError(f"n={n} not in curve")
 
 
-_LOGFACT = np.zeros(1)
-
-
-def _logfact(n: int) -> np.ndarray:
-    """Table of log(i!) for i = 0..n, each entry accurate to rounding."""
-    global _LOGFACT
-    if len(_LOGFACT) <= n:
-        old = len(_LOGFACT)
-        grown = np.empty(n + 1)
-        grown[:old] = _LOGFACT
-        for i in range(old, n + 1):
-            grown[i] = math.lgamma(i + 1)
-        _LOGFACT = grown
-    return _LOGFACT
+def _log_factorials(*counts: np.ndarray) -> list[np.ndarray]:
+    """log(c!) for each array of counts: ``math.lgamma(c + 1)`` once for each count
+    in the union of the arrays' min..max spans, not for every count up to the largest."""
+    values, starts, end = [], [0] * len(counts), -1  # count c of array i is values[c - starts[i]]
+    for lo, top, i in sorted((int(c.min()), int(c.max()) + 1, i) for i, c in enumerate(counts) if c.size):
+        if lo > end:  # a gap: a new run of counts from lo
+            start, end = lo - len(values), lo
+        values.extend(map(math.lgamma, range(end + 1, top + 1)))
+        end, starts[i] = max(end, top), start
+    table = np.array(values)
+    return [table[c - s] for c, s in zip(counts, starts)]
 
 
 def _support(rho0: DiscreteDist) -> list[float]:
@@ -131,10 +129,10 @@ def _beta_binomial(
     taken = max(1, int(cells.searchsorted(SCAN_CELLS, "right")))
     shift = (cells - width - lo)[:taken].astype(np.int64)  # cell index - j
     width = width[:taken].astype(np.int64)
-    table = _logfact(n_lo + taken - 1)
     n = np.repeat(ns[:taken], width)
     j = np.arange(len(n)) - np.repeat(shift, width)
-    log_mult = table[n] - table[j] - table[n - j]
+    log_n, log_j, log_rest = _log_factorials(ns[:taken], j, n - j)
+    log_mult = np.repeat(log_n, width) - log_j - log_rest
     log_class = (n - j) * log_p + j * log_q
     mask = log_class > log_alpha
     terms = np.exp(log_mult[mask] + log_class[mask]) * (-np.expm1(log_alpha - log_class[mask]))
@@ -159,8 +157,7 @@ def _classes(log_probs: list[float], n: int, cut: float) -> tuple[np.ndarray, np
     next count, so ``_kept_range`` gives the counts kept.  Classes take the float
     steps of a walk over every class."""
     best = np.maximum.accumulate(log_probs[::-1])[::-1].tolist()  # suffix maxima
-    table = _logfact(n)
-    left, log_class, log_mult = np.array([n]), np.zeros(1), table[n : n + 1]
+    left, log_class, log_mult = np.array([n]), np.zeros(1), np.array([math.lgamma(n + 1)])
     budget = MAX_WALK_PREFIXES  # prefixes the walk may still keep
     for lp, rest in zip(log_probs[:-1], best[1:]):
         lo, width = _kept_range(lp - rest, cut - (log_class + left * rest), left)
@@ -174,8 +171,8 @@ def _classes(log_probs: list[float], n: int, cut: float) -> tuple[np.ndarray, np
         parent = np.repeat(np.arange(len(width)), width.astype(np.int64))
         c = np.arange(kept) - (width.cumsum() - width - lo).astype(np.int64)[parent]
         left, log_class = left[parent] - c, log_class[parent] + c * lp
-        log_mult = log_mult[parent] - table[c]
-    return log_class + left * log_probs[-1], log_mult - table[left]
+        log_mult = log_mult[parent] - _log_factorials(c)[0]
+    return log_class + left * log_probs[-1], log_mult - _log_factorials(left)[0]
 
 
 def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:

@@ -41,6 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dist import _integer_row
+
 FLOAT_TOL = 1e-9
 
 OPTIMAL = "optimal"
@@ -156,16 +158,6 @@ def _flip(tableau, bound, divisor, j: int, col: int, other: int, hit) -> int:
         bound[j] = a, b
     tableau[block] = cleared
     return a
-
-
-def _integer_row(values) -> tuple[list[int], int]:
-    """``values`` times ``s``, the LCM of their denominators, as Python ints; and ``s``."""
-    # an int or Fraction is read as it is, anything else (floats, numpy
-    # scalars) through Fraction; int() since a Fraction of numpy integers
-    # keeps numpy parts
-    ratios = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    s = math.lcm(*(f.denominator for f in ratios))
-    return [int(f.numerator) * (s // int(f.denominator)) for f in ratios], s
 
 
 def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:

@@ -281,13 +281,24 @@ def beta_count_vectors_full(rho: DiscreteDist, n: int, alpha: float) -> float:
     return math.fsum(terms)
 
 
+_LOG_FACTORIALS = np.zeros(1)  # log(i!) = math.lgamma(i + 1), i = 0, 1, ...; grown on demand
+
+
+def _log_factorial_table(n: int) -> np.ndarray:
+    """log(i!) for i = 0..n at least, from the oracles' own ``math.lgamma`` table."""
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) <= n:
+        _LOG_FACTORIALS = np.array([math.lgamma(i + 1) for i in range(2 * n + 1)])
+    return _LOG_FACTORIALS
+
+
 def beta_binomial_full(log_p: float, log_q: float, n: int, log_alpha: float) -> float:
     """Two-outcome specialization: classes indexed by the success count.
 
     Builds every success count j = 0..n and masks to the classes above
     alpha, the reference for ``rates._beta_binomial``'s cut scan.
     """
-    table = rates._logfact(n)
+    table = _log_factorial_table(n)
     j = np.arange(n + 1)
     log_mult = table[n] - table[j] - table[n - j]
     log_class = (n - j) * log_p + j * log_q

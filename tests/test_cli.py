@@ -365,6 +365,16 @@ class TestExperiments:
         assert float(worst[1]) == pytest.approx(3 / 14, abs=1e-9)
         assert all(r[5] == "1" for r in rows)  # strassen holds at budget
 
+    def test_agnostic_takes_each_gap_once(self, tmp_path, monkeypatch):
+        # the loss and the Strassen check both come from one exact gap per row
+        calls = []
+        gap = agnostic._worst_gap
+        monkeypatch.setattr(agnostic, "_worst_gap", lambda rho, law: calls.append(rho) or gap(rho, law))
+        out = tmp_path / "a.csv"
+        args = ["agnostic", "--n", "8", "--alpha", "1/4", "--instances", "5", "--seed", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert len(calls) == 6 == len(out.read_text().strip().split("\n")[1:])
+
     def test_agnostic_loss_is_the_worst_set_gap_past_the_subset_cap(self, tmp_path):
         # C(18, 6) = 18 564 subsets, more than agnostic.MAX_ENUM_SUBSETS: the
         # experiment enumerates none, so it runs

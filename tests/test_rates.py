@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,6 +439,40 @@ class TestLongScans:
             "assert n_required_empirical(hard_instance(0.001), 0.01, 0.01, 100_000)[0] == 40_032\n"
         )
         assert _child_peak_mb(code) < 200
+
+
+class TestLogFactorialsOnDemand:
+    """log(c!) is ``math.lgamma`` of the counts a call reads: no table
+    outlives a call, so no call pays for a longer one made before it."""
+
+    def test_long_sequence_reads_few_counts(self):
+        # no sequence of 10**7 tokens is as likely as alpha, so the cut reads
+        # log(n!) alone; a table of log(i!) up to n would hold 76 MiB
+        tracemalloc.start()
+        try:
+            assert type2_product_exact(hard_instance(0.1), 10**7, 0.01) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_no_array_outlives_a_scan(self):
+        assert n_required_empirical(hard_instance(0.01), 0.01, 0.01, 4096)[0] == 2986
+        assert [name for name, v in vars(rates).items() if isinstance(v, np.ndarray)] == []
+
+    def test_each_count_once(self, monkeypatch):
+        # spans 0..2, 8..10 and 9..10 (overlapping), 40, and an empty array
+        seen = []
+
+        def lgamma(x):
+            seen.append(x)
+            return math.lgamma(x)
+
+        monkeypatch.setattr(rates, "math", SimpleNamespace(**{**vars(math), "lgamma": lgamma}))
+        counts = [[9, 10, 9], [2, 0, 1], [10, 8, 9], [40], []]
+        got = rates._log_factorials(*(np.array(c, dtype=np.int64) for c in counts))
+        assert sorted(seen) == [c + 1 for c in (0, 1, 2, 8, 9, 10, 40)]
+        assert [_hex(g) for g in got] == [_hex(math.lgamma(c + 1) for c in cs) for cs in counts]
 
 
 class TestMonteCarloProduct:
