@@ -134,11 +134,16 @@ def _run_agnostic(params: dict, seed: int) -> Iterable[tuple]:
 
 
 def _preset(kind: str, presets: dict, load: Callable, name: str, *args):
-    """The preset ``name`` built from ``args``, or the file named after an '@'."""
+    """The preset ``name`` built from ``args`` (and ``name``, by a '<word>-<h>' key), or an '@'file."""
     if name.startswith("@"):
         return load(name[1:])
     if name in presets:
         return presets[name](*args)
+    if (family := name.partition("-")[0] + "-<h>") in presets:
+        try:
+            return presets[family](name, *args)
+        except ValueError as err:
+            raise ConfigError(f"{kind} preset {name!r}: {err}") from None
     raise ConfigError(
         f"unknown {kind} {name!r}; use one of {sorted(presets)} or @path/to/{kind}/file"
     )
@@ -164,12 +169,19 @@ def _run_robust(params: dict, seed: int) -> Iterable[tuple]:
             yield name, sum_row, solution.objective, beta
 
 
+def _hard_lm(name: str) -> lm_mod.ToyLM:
+    """``hard-<h>``: binary i.i.d. tokens, the initial law and each row ``rates.hard_instance(h)``."""
+    row = rates.hard_instance(float(name.removeprefix("hard-")))
+    return lm_mod.ToyLM(vocab_size=2, initial=row, transitions=(row, row))
+
+
 _LM_PRESETS = {
     "fair-coin": lm_mod.fair_coin_lm,
     "biased-binary": lm_mod.biased_binary_lm,
     "drifting4": lambda: lm_mod.drifting_lm(4),
     "drifting6": lambda: lm_mod.drifting_lm(6),
     "deterministic": lm_mod.deterministic_lm,
+    "hard-<h>": _hard_lm,
 }
 
 

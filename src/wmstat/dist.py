@@ -273,6 +273,6 @@ def sample(d: DiscreteDist, rng: np.random.Generator) -> int:
 
 
 def sample_many(d: DiscreteDist, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` draws as ``sample`` makes them, as int64; callers bound the memory by
-    ``size``: ``rates.type2_product_mc`` draws in chunks of ``MC_CHUNK``."""
+    """``size`` draws as ``sample`` makes them, as int64; callers bound the memory by ``size``
+    (``rates.type2_product_mc`` ``search``es only the rows that can lie above alpha)."""
     return search(_search_table(d.probs), rng.random(size))

@@ -17,9 +17,9 @@ bit-identical to one length at a time; a chunk holds at most ``SCAN_CELLS``
 cells, so memory does not grow with ``n_max``.
 
 The Monte Carlo estimator draws each block of ``MC_BLOCK`` sequences from
-one keyed generator, ``MC_CHUNK`` draws (or one sequence) at a time, so its
-memory is bounded by the chunk and does not grow with n.  Lengths, sample
-counts and ``n_max`` must be ints or numpy integers.
+one keyed generator, ``MC_CHUNK`` uniforms (or one sequence) at a time, and
+sums only the sequences that can lie above alpha.  Lengths, sample counts and
+``n_max`` must be ints or numpy integers.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import LN2, DiscreteDist, ResourceLimit, _check_alpha, _check_int, inv_binary_entropy, sample_many
+from .dist import LN2, DiscreteDist, ResourceLimit, _check_alpha, _check_int, _search_table, inv_binary_entropy, search
+from .dist import sample_many  # noqa: F401  kept bound: perfbench/tracing.py wraps wmstat.rates.sample_many
 from .streams import substream
 
 MAX_WALK_PREFIXES = 2_000_000
 MC_BLOCK = 1 << 14
-MC_CHUNK = 1 << 13  # draws per sample_many call: the arrays stay small and reused
+MC_CHUNK = 1 << 16  # uniforms per chunk: one reused buffer of about 0.5 MB
 SCAN_FIRST = 16  # lengths in the binomial scan's first chunk; each next one doubles
 SCAN_CELLS = 1 << 16  # (length, success count) cells per chunk
 
@@ -218,10 +219,12 @@ def type2_product_mc(
     Averages (1 - alpha/P(sequence))+ over i.i.d. sequences, accumulating
     sequence probabilities in log space.  Sampling is split into blocks of
     ``MC_BLOCK`` sequences with substreams keyed by (seed, block index) and
-    reduced in block order.  A block's generator feeds ``sample_many`` in
-    chunks of whole sequences, about ``MC_CHUNK`` draws each (one sequence
-    when n is longer), so the draws are those of one ``size * n`` call and
-    memory is bounded by the chunk, not by ``MC_BLOCK * n``.
+    reduced in block order.  A block's generator fills one buffer with whole
+    sequences, about ``MC_CHUNK`` uniforms (one sequence when n is longer), so
+    the uniforms are those of one ``size * n`` call and memory is bounded by
+    the chunk, not by ``MC_BLOCK * n``.  A row with c draws outside the CDF interval
+    of the likeliest outcome t has log P <= n*log p_t + c*(log p_2 - log p_t), p_2 the
+    next likeliest; rows ``_kept_range`` (exact paths' margin) puts below alpha add +0.0 unsummed.
     """
     _check_alpha(alpha)
     _check_int(n=n, samples=samples)
@@ -229,24 +232,34 @@ def type2_product_mc(
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
+    n = int(n)
     log_probs = np.array(
         [math.log(float(p)) if float(p) > 0.0 else -math.inf for p in rho0.probs]
     )
+    t = int(np.argmax(log_probs))
+    support = np.sort(log_probs[log_probs > -math.inf])  # p_2 is p_t when t is alone
+    low = math.log(alpha) * (1.0 + 1e-9) + n * (1e-9 * support[0] - support[-1])
+    kept = int(_kept_range(support[-2:][0] - support[-1], low, n)[1])  # summed: fewer outside draws
+    table = _search_table(rho0.probs)
+    lo, hi = (0.0, *table[: rho0.k - 1], math.inf)[t : t + 2]
     n_blocks = (samples + MC_BLOCK - 1) // MC_BLOCK
     rows = max(1, MC_CHUNK // n)  # sequences per chunk
+    uniforms = np.empty(rows * n)
 
     def block_sums(b: int) -> tuple[float, float]:
         size = min(MC_BLOCK, samples - b * MC_BLOCK)
         rng = substream(seed, b)
-        log_rho = np.empty(size)
+        terms = []
         for start in range(0, size, rows):
-            chunk = log_rho[start : start + rows]
-            draws = sample_many(rho0, rng, len(chunk) * n)
-            log_probs[draws].reshape(-1, n).sum(axis=1, out=chunk)
-        with np.errstate(divide="ignore"):
-            vals = np.maximum(1.0 - alpha / np.exp(log_rho), 0.0)
+            u = rng.random(out=uniforms[: min(rows, size - start) * n]).reshape(-1, n)
+            if kept <= n:
+                u = u[((u < lo) | (u >= hi)).sum(axis=1) < kept]
+            log_rho = log_probs[search(table, u)].sum(axis=1)
+            with np.errstate(divide="ignore"):
+                vals = np.maximum(1.0 - alpha / np.exp(log_rho), 0.0)
+            terms.extend(vals[vals > 0.0].tolist())
         # fsum keeps constant-integrand cases bit-exact (point mass -> 1-alpha)
-        return math.fsum(vals.tolist()), math.fsum((vals * vals).tolist())
+        return math.fsum(terms), math.fsum(v * v for v in terms)
 
     from .streams import map_trials
 

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import iid_lm
 from wmstat import agnostic, schemes
 from wmstat.cli import CsvTable, ConfigError, build_config, fmt, main
 from wmstat.dist import DiscreteDist
 from wmstat.plots import svg_line_plot
+from wmstat.rates import hard_instance
 from wmstat.streams import substream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -391,6 +393,28 @@ class TestExperiments:
     def test_schemes_unknown_lm(self, capsys):
         assert main(["schemes", "--lm", "gpt", "--seed", "1"]) == 2
         assert "gpt" in capsys.readouterr().err
+
+    def test_schemes_hard_preset(self, monkeypatch):
+        # hard-0.1 is binary i.i.d. tokens: the initial law and both rows are hard_instance(0.1)
+        seen = []
+
+        def estimate(scheme, lm, trials, seed):
+            seen.append(lm)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(schemes, "estimate_type1", estimate)
+        monkeypatch.setattr(schemes, "estimate_type2", estimate)
+        assert main(["schemes", "--lm", "hard-0.1", "--scheme", "ump+christ", "--seed", "1"]) == 0
+        assert seen == [iid_lm(hard_instance(0.1))] * 4
+
+    @pytest.mark.parametrize("name", ["hard-0", "hard-1", "hard-x"])
+    def test_schemes_bad_hard_preset(self, capsys, name):
+        assert main(["schemes", "--lm", name, "--seed", "1"]) == 2
+        assert f"lm preset {name!r}" in capsys.readouterr().err
+
+    def test_schemes_unknown_lm_lists_hard(self, capsys):
+        assert main(["schemes", "--lm", "hardly", "--seed", "1"]) == 2
+        assert "'hard-<h>'" in capsys.readouterr().err
 
     def test_schemes_lm_from_file(self, tmp_path):
         from wmstat.lm import fair_coin_lm, save_lm

@@ -19,7 +19,7 @@ from oracles import (
     type2_product_rational,
 )
 from wmstat import rates
-from wmstat.dist import LN2, DiscreteDist, ResourceLimit, entropy
+from wmstat.dist import LN2, DiscreteDist, ResourceLimit, entropy, search
 from wmstat.rates import (
     RateBounds,
     RateCurve,
@@ -536,6 +536,7 @@ class TestMonteCarloChunks:
         # n > MC_CHUNK: each chunk is one sequence; a small block keeps the
         # whole-block oracle's [size, n] arrays small
         monkeypatch.setattr(rates, "MC_BLOCK", 128)
+        monkeypatch.setattr(rates, "MC_CHUNK", 1 << 13)
         args = (self.ROWS[row], 9000, 0.01, 128 + 37, 11 + row)
         assert type2_product_mc(*args) == type2_product_mc_blocks(*args)
 
@@ -549,12 +550,60 @@ class TestMonteCarloChunks:
 
     def test_memory_does_not_grow_with_block_times_n(self):
         # one full block at n = 4096 is 2**26 draws: 1.6 GB as whole-block
-        # arrays, a few chunks of 2**13 draws here
+        # arrays, chunks of MC_CHUNK uniforms here
         code = (
             "from wmstat.rates import MC_BLOCK, hard_instance, type2_product_mc\n"
             "type2_product_mc(hard_instance(0.1), 4096, 0.01, MC_BLOCK, 1)\n"
         )
         assert _child_peak_mb(code) < 200
+
+
+class TestMonteCarloPruning:
+    """Rows with too many draws outside the likeliest outcome's interval are
+    neither searched nor summed, and the estimate keeps its bits."""
+
+    CASES = {
+        # c* = 1: only sequences of the majority token alone are summed
+        "hard-0.1": (hard_instance(0.1), 189, 0.01),
+        "hard-0.2": (hard_instance(0.2), 76, 0.01),
+        "hard-0.05": (hard_instance(0.05), 448, 0.01),
+        # c* = 2
+        "hard-0.3": (hard_instance(0.3), 20, 0.01),
+        # c* > n: every row is summed, and no draw is counted
+        "all-rows": (DiscreteDist(probs=(0.6, 0.4)), 2, 0.1),
+        # t in the middle of the CDF: both ends of [0.2, 0.9) bound it
+        "middle": (DiscreteDist(probs=(0.2, 0.7, 0.1)), 10, 0.01),
+        # a tie for t: the other tied outcome prunes nothing
+        "tie": (DiscreteDist(probs=(0.4, 0.4, 0.2)), 4, 0.01),
+        # zero-probability outcomes on both sides of t's interval [0.25, 0.9)
+        "zero-beside": (DiscreteDist(probs=(0.25, 0.0, 0.65, 0.0, 0.1)), 8, 0.01),
+        # the all-t sequence within 1e-12 relative of alpha, on both sides
+        "at-alpha-above": (DiscreteDist(probs=(0.9, 0.1)), 3, 0.729 * (1 + 1e-12)),
+        "at-alpha-below": (DiscreteDist(probs=(0.9, 0.1)), 3, 0.729 * (1 - 1e-12)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_every_row_summed(self, case):
+        args = (*self.CASES[case], 4000, 17)
+        assert type2_product_mc(*args) == type2_product_mc_blocks(*args)
+
+    def test_no_sequence_above_alpha(self):
+        # c* = 0: 2**-3 < 0.2, so every term is 0
+        args = (DiscreteDist(probs=(0.5, 0.5)), 3, 0.2, 1000, 4)
+        assert type2_product_mc(*args) == type2_product_mc_blocks(*args) == (0.0, 0.0)
+
+    def test_searches_few_rows(self, monkeypatch):
+        # at h = 0.1, n = 189 about 2 % of sequences hold no minority token
+        seen = []
+
+        def spy(table, u):
+            seen.append(len(u))
+            return search(table, u)
+
+        monkeypatch.setattr(rates, "search", spy)
+        samples = 1 << 14
+        type2_product_mc(hard_instance(0.1), 189, 0.01, samples, 3)
+        assert 0 < sum(seen) < 0.05 * samples
 
 
 class TestCountArguments:
