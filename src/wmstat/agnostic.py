@@ -112,25 +112,6 @@ def sample_region(law: UniformRegionLaw, rng: np.random.Generator) -> Region:
     return Region.of(pool[:m])
 
 
-def pad_to_integral(n: int, alpha: Fraction) -> tuple[UniformRegionLaw, Fraction]:
-    """Augment with dummy outcomes until the integrality hypothesis holds.
-
-    Rounds the level down to 1/ceil(1/alpha) and pads the outcome count so
-    both integrality conditions hold; an approximation of the original
-    (n, alpha) problem, not an exact reduction.
-    """
-    _check_int(n=n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    inv = math.ceil(1 / alpha)
-    alpha1 = Fraction(1, inv)
-    n1 = math.ceil(alpha1 * n) * inv
-    return UniformRegionLaw(n=n1, region_size=n1 // inv), alpha1
-
-
 def build_agnostic_coupling(rho: DiscreteDist, law: UniformRegionLaw) -> tuple[Coupling, float]:
     """Couple ``rho`` with the uniform region law; returns (coupling, loss).
 

@@ -273,7 +273,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             Param("entropy_threshold", float, schemes.ChristBinaryConfig.entropy_threshold,
                   "nats before keyed phase (christ)"),
             Param("resamples", int, schemes.ItsConfig.resamples, "permutation resamples (its)"),
-            Param("block_k", int, schemes.ItsConfig.block_k, "block size (its)"),
+            Param("block_k", int, schemes.ItsConfig.block_k,
+                  "block size (its); power grows with n at block_k = n, not at the default"),
         ),
         run=_run_schemes,
     ),

@@ -161,28 +161,21 @@ def binary_entropy(x: float) -> float:
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
-def inv_binary_entropy(h: float, branch: str = "high") -> float:
-    """Invert ``binary_entropy`` by monotone bisection.
+def inv_binary_entropy(h: float) -> float:
+    """The root >= 1/2 of ``binary_entropy(x) = h``, by monotone bisection.
 
-    ``branch="high"`` returns the root >= 1/2, ``"low"`` the root <= 1/2.
-    The argument is located to within ``BISECT_TOL``.
+    The other root is 1 minus this one.  The argument is located to within
+    ``BISECT_TOL``.
     """
     if h < 0.0 or h > LN2 + BISECT_TOL:
         raise ValueError(f"entropy value {h!r} outside [0, ln 2]")
     h = min(h, LN2)
-    if branch == "high":
-        lo, hi = 0.5, 1.0  # binary_entropy decreasing on [1/2, 1]
-        decreasing = True
-    elif branch == "low":
-        lo, hi = 0.0, 0.5  # increasing on [0, 1/2]
-        decreasing = False
-    else:
-        raise ValueError(f"branch must be 'low' or 'high', got {branch!r}")
+    lo, hi = 0.5, 1.0  # binary_entropy decreasing on [1/2, 1]
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= BISECT_TOL:
             break
-        if (binary_entropy(mid) > h) == decreasing:
+        if binary_entropy(mid) > h:
             lo = mid
         else:
             hi = mid
@@ -215,7 +208,6 @@ def _integer_row(values) -> tuple[list[int], int]:
     return [int(f.numerator) * (s // int(f.denominator)) for f in ratios], s
 
 
-@lru_cache(maxsize=4096)
 def _cdf_of(probs: tuple) -> tuple[float, ...]:
     cum, acc = [], 0.0
     for p in probs:

@@ -261,6 +261,8 @@ def type2_product_mc(
         # fsum keeps constant-integrand cases bit-exact (point mass -> 1-alpha)
         return math.fsum(terms), math.fsum(v * v for v in terms)
 
+    # read at call time, not bound at import: a wrapper on streams.map_trials (perfbench's
+    # tracer) sees these blocks only this way
     from .streams import map_trials
 
     sums = map_trials(block_sums, n_blocks)
@@ -282,7 +284,7 @@ def hard_instance(h: float) -> DiscreteDist:
     """
     if not 0.0 < h <= LN2:
         raise ValueError(f"entropy must be in (0, ln 2], got {h!r}")
-    q0 = inv_binary_entropy(h, branch="high")
+    q0 = inv_binary_entropy(h)
     return DiscreteDist(probs=(1.0 - q0, q0))
 
 

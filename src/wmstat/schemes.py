@@ -359,7 +359,7 @@ def _alignment_workspace(batch: int, length: int, window: int, vocab: int) -> tu
 
 
 def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray, window: int,
-                   work: tuple | None = None) -> np.ndarray:
+                   work: tuple) -> np.ndarray:
     """Minimum block alignment cost for each keyed draw in the batch.
 
     cost[t, j, i] = sum over the window of |u[t, (j+l) % L] - rank_norm[token
@@ -370,10 +370,10 @@ def _alignment_phi(u_all: np.ndarray, rank_norm: np.ndarray, tokens: np.ndarray,
     sum is that prefix sum minus the one ``window`` positions back.  One
     streaming O(L^2) pass per batch row with a ring of ``window + 1`` prefix
     sums, in float32: ties are broken conservatively by the <= rank comparison.
-    Every buffer is ``work``'s, an ``_alignment_workspace`` (a new one if None).
+    Every buffer is ``work``'s, an ``_alignment_workspace``.
     """
-    batch, length = u_all.shape
-    u_pad, costs, ring, (diff, best) = work or _alignment_workspace(batch, length, window, len(rank_norm))
+    length = u_all.shape[1]
+    u_pad, costs, ring, (diff, best) = work
     # [padded position i, t]: positions run along the first axis, so each
     # slice b : b+L below is one contiguous [delta, t] block
     u_pad[:length] = u_all.T

@@ -19,7 +19,6 @@ from wmstat.agnostic import (
     integrality_check,
     loss_limit_gap,
     max_type2_loss,
-    pad_to_integral,
     sample_region,
     strassen_condition_holds,
     worst_set_gap,
@@ -305,25 +304,6 @@ class TestStrassenCheck:
         assert strassen_condition_holds(rho, law, budget + 1e-9)
 
 
-class TestPadding:
-    def test_already_integral(self):
-        law, alpha1 = pad_to_integral(8, Fraction(1, 4))
-        assert (law.n, law.region_size, alpha1) == (8, 2, Fraction(1, 4))
-
-    def test_rounds_and_pads(self):
-        law, alpha1 = pad_to_integral(10, Fraction(3, 10))
-        assert alpha1 == Fraction(1, 4)
-        assert law.n % 4 == 0 and law.n >= 10
-        assert law.alpha == alpha1
-
-    @pytest.mark.parametrize(
-        "n, message", [(8.5, "n must be an integer, got 8.5"), (0, "n must be >= 1, got 0")]
-    )
-    def test_rejects_bad_outcome_count(self, n, message):
-        with pytest.raises(ValueError, match=message):
-            pad_to_integral(n, Fraction(1, 4))
-
-
 class TestOneExactGap:
     """The coupling's loss, ``worst_set_gap`` and the Strassen check share one exact gap."""
 
@@ -391,7 +371,6 @@ _LAW = UniformRegionLaw(n=4, region_size=2)
         (lambda: _LAW.hit_probability(5), "set size 5 outside 0..4"),
         (lambda: integrality_check(4, Fraction(3, 2)), r"alpha must be in \(0, 1\]"),
         (lambda: integrality_check(0, Fraction(1, 4)), "need n >= 1/alpha, got n=0"),
-        (lambda: pad_to_integral(8, Fraction(1)), r"alpha must be in \(0,1\), got 1"),
         (lambda: build_agnostic_coupling(DiscreteDist.uniform(3), _LAW),
          "distribution has 3 outcomes, law expects 4"),
         (lambda: worst_set_gap(DiscreteDist.uniform(5), _LAW),
@@ -400,7 +379,7 @@ _LAW = UniformRegionLaw(n=4, region_size=2)
          "distribution has 5 outcomes, law expects 4"),
     ],
     ids=["region-too-big", "region-empty", "set-size", "alpha-above-one", "n-below-1/alpha",
-         "pad-alpha-one", "coupling-size", "gap-size", "strassen-size"],
+         "coupling-size", "gap-size", "strassen-size"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):

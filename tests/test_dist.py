@@ -110,35 +110,32 @@ class TestBinaryEntropy:
 
 class TestInverseBinaryEntropy:
     def test_max_entropy(self):
-        assert inv_binary_entropy(LN2, "high") == pytest.approx(0.5, abs=1e-9)
+        assert inv_binary_entropy(LN2) == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_entropy(self):
-        assert inv_binary_entropy(0.0, "high") == pytest.approx(1.0, abs=1e-12)
-        assert inv_binary_entropy(0.0, "low") == pytest.approx(0.0, abs=1e-12)
+        assert inv_binary_entropy(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_example_point(self):
         h = entropy(DiscreteDist(probs=(0.9, 0.1)))
-        assert inv_binary_entropy(h, "high") == pytest.approx(0.9, abs=1e-9)
+        assert inv_binary_entropy(h) == pytest.approx(0.9, abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             inv_binary_entropy(-0.01)
         with pytest.raises(ValueError):
             inv_binary_entropy(LN2 + 0.01)
-        with pytest.raises(ValueError):
-            inv_binary_entropy(0.3, "middle")
 
     @given(st.floats(min_value=0.001, max_value=0.999))
     @settings(max_examples=60)
     def test_roundtrip(self, x):
         h = binary_entropy(x)
-        branch = "low" if x <= 0.5 else "high"
-        assert inv_binary_entropy(h, branch) == pytest.approx(x, abs=1e-9)
+        # the root >= 1/2; by symmetry the other is 1 minus it
+        assert inv_binary_entropy(h) == pytest.approx(max(x, 1.0 - x), abs=1e-9)
 
     def test_majority_mass_bounds(self):
         # for h <= 1/4: h / (9 ln(18 ln 18 / h)) <= 1 - q <= h / ln(ln2 / h)
         for h in np.linspace(0.005, 0.25, 50):
-            q = inv_binary_entropy(float(h), "high")
+            q = inv_binary_entropy(float(h))
             gap = 1.0 - q
             lower = h / (9 * math.log(9 * 2 * math.log(9 * 2) / h))
             upper = h / math.log(LN2 / h)

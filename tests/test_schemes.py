@@ -430,19 +430,24 @@ class TestExactIidReferences:
 class TestDominanceOnTheHardInstance:
     """No scheme misses less than the optimum β₀, at lengths where β₀ is far from 0 and 1.
 
-    The model repeats ``rates.hard_instance(0.1)`` i.i.d. and α = 0.01, so
-    β₀(n) = ``type2_product_exact`` is 0.43, 0.18 and 0.035 at n = 40, 80 and
-    150: a scheme that beat the optimum would show.  UMP-sequence attains β₀
-    and keyed binary, distortion-free, cannot beat it.  Soft red list joins
-    once its exact distortion ε is computed (its bound is max(β₀ − ε, 0)), and
-    ITS once its block size gives it power that grows with n.
+    The model repeats ``rates.hard_instance(h)`` i.i.d. and α = 0.01, so
+    β₀(n) = ``type2_product_exact`` is 0.43, 0.18 and 0.035 at h = 0.1 and
+    n = 40, 80 and 150; 0.52, 0.12 and 0.0095 at h = 0.2 and n = 20, 40 and
+    76; 0.41 and 0.10 at h = 0.05 and n = 100 and 250: a scheme that beat the
+    optimum would show.  UMP-sequence attains β₀ and keyed binary,
+    distortion-free, cannot beat it.  Soft red list joins once its exact
+    distortion ε is computed (its bound is max(β₀ − ε, 0)), and ITS once its
+    block size gives it power that grows with n.
     """
 
     TRIALS = 2000
+    CASES = ((0.1, 40), (0.1, 80), (0.1, 150), (0.2, 20), (0.2, 40), (0.2, 76), (0.05, 100),
+             (0.05, 250))
 
-    @pytest.mark.parametrize("n", [40, 80, 150])
-    def test_misses_against_the_exact_optimum(self, n):
-        row, alpha = hard_instance(0.1), 0.01
+    @pytest.mark.parametrize("h, n", CASES,
+                             ids=[str(n) if h == 0.1 else f"h{h}-{n}" for h, n in CASES])
+    def test_misses_against_the_exact_optimum(self, h, n):
+        row, alpha = hard_instance(h), 0.01
         lm = oracles.iid_lm(row)
         beta0 = type2_product_exact(row, n, alpha)
         sigma = math.sqrt(beta0 * (1 - beta0) / self.TRIALS)
@@ -452,6 +457,28 @@ class TestDominanceOnTheHardInstance:
         christ = ChristBinary(ChristBinaryConfig(n=n, target_alpha=alpha))
         christ_miss, _ = estimate_type2(christ, lm, trials=self.TRIALS, seed=74)
         assert christ_miss >= beta0 - 4 * sigma
+
+
+class TestItsPowerAtWholeTextBlock:
+    """With the whole text as its block (``block_k = n``), ITS's miss falls as n grows.
+
+    At the default ``block_k = 10`` it rises instead: the resamples get about
+    L² windows against the key's L aligned ones.  On ``hard_instance(0.3)``
+    at α = 0.05 the miss is 0.905, 0.710 and 0.125 at n = 20, 60 and 200.
+    """
+
+    TRIALS, ALPHA = 200, 0.05
+
+    def test_miss_falls_with_length(self):
+        lm = oracles.iid_lm(hard_instance(0.3))
+        misses = []
+        for n in (20, 60, 200):
+            its = InverseTransform(ItsConfig(n=n, target_alpha=self.ALPHA, block_k=n))
+            misses.append(estimate_type2(its, lm, trials=self.TRIALS, seed=1)[0])
+            level = estimate_type1(its, lm, trials=self.TRIALS, seed=1)[0]
+            assert level <= self.ALPHA + 4 * math.sqrt(self.ALPHA * (1 - self.ALPHA) / self.TRIALS)
+        assert misses[0] > misses[1] > misses[2]
+        assert misses[2] <= 0.2
 
 
 class TestToyLmIo:
@@ -611,9 +638,12 @@ class TestBatchedEngine:
             u_all, rank_all = oracles.its_alignment_inputs(scheme, key, n)
             assert rank_all.shape == (vocab,)
             if batched:
-                got = _alignment_phi(u_all, rank_all, tokens, window)
+                work = _alignment_workspace(len(u_all), n, window, vocab)
+                got = _alignment_phi(u_all, rank_all, tokens, window, work)
             else:
-                got = np.concatenate([_alignment_phi(u[None], rank_all, tokens, window) for u in u_all])
+                work = _alignment_workspace(1, n, window, vocab)
+                got = np.concatenate([_alignment_phi(u[None], rank_all, tokens, window, work)
+                                      for u in u_all])
             want = oracles.alignment_phi_tensor(u_all, rank_all, tokens, window)
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (n, window)
