@@ -141,23 +141,21 @@ def robust_lp_build(
     robust Type II error is 1 minus the optimum.  ``include_sum_row`` adds
     the extra row sum(x) <= 1; with it, self-loops-only graphs no longer
     reduce to the unperturbed optimum, so it is off by default (see the CLI,
-    which reports both readings).
+    which reports both readings).  The rows are views of one read-only matrix.
     """
     if rho.k != graph.n:
         raise ValueError(f"distribution has {rho.k} outcomes, graph has {graph.n}")
     _check_alpha(alpha)
-    probs = rho.as_floats()
-    n = graph.n
-    # row z holds p_y in column y for every edge y -> z
-    constraints: list = [[0.0] * n for _ in range(n)]
-    for y, successors in enumerate(graph.out_adj):
-        for z in successors:
-            constraints[z][y] = probs[y]
-    for z, row in enumerate(constraints):  # one row at a time: no second full copy
-        constraints[z] = (tuple(row), alpha)
-    if include_sum_row:
-        constraints.append(((1.0,) * n, 1.0))
-    return LpProblem(tuple(probs), tuple(constraints), bounds=((0.0, 1.0),) * n)
+    probs, n = rho.as_floats(), graph.n
+    # row z holds p_y in column y for every edge y -> z; the sum row is all ones
+    sources = np.repeat(np.arange(n), [len(successors) for successors in graph.out_adj])
+    targets = np.fromiter(itertools.chain.from_iterable(graph.out_adj), np.intp, len(sources))
+    a = np.zeros((n + bool(include_sum_row), n))
+    a[targets, sources] = np.array(probs)[sources]
+    a[n:] = 1.0
+    a.flags.writeable = False
+    rhs = (alpha,) * n + (1.0,) * (len(a) - n)
+    return LpProblem(probs, tuple(zip(a, rhs)), bounds=((0.0, 1.0),) * n)
 
 
 def robust_optimal_type2(

@@ -4,9 +4,12 @@ Every LP solved here maximizes ``c @ x`` subject to ``A x <= b`` with
 ``b >= 0`` and ``0 <= x <= hi`` for a finite ``hi``; ``A`` and ``c`` may
 have either sign.  ``robust.robust_lp_build`` makes only such LPs, and
 ``LpProblem`` rejects anything else: a negative right-hand side, a nonzero
-lower bound, or an upper bound that is infinite or negative.  On this family
-the all-slack basis is feasible and the box bounds the optimum, so a single
-phase of pivoting from the slack basis always ends at an optimal vertex.
+lower bound, an upper bound that is infinite or negative, or a NaN or
+infinity (in a coefficient, once ``simplex_solve`` reads it).  A row of ``A``
+may be a 1-D float array: the robust LP's rows are views of one read-only
+matrix.  On this family the all-slack basis is feasible and the box bounds
+the optimum, so a single phase of pivoting from the slack basis always ends
+at an optimal vertex.
 
 Each upper bound is a row x_j + s_j = hi_j that the tableau holds only once
 a pivot on another row has to change it.  Until then it joins the ratio test
@@ -50,26 +53,30 @@ OPTIMAL = "optimal"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Maximize ``objective @ x`` subject to ``<=`` rows and the box ``0 <= x <= hi``."""
+    """Maximize ``objective @ x`` subject to ``<=`` rows and the box ``0 <= x <= hi``.
+
+    Rows are kept as given: tuples, or 1-D float arrays.  NaN or infinite data raises ``ValueError``.
+    """
 
     objective: tuple
-    constraints: tuple  # ((coeffs, rhs), ...) rows, all <= sense, rhs >= 0
+    constraints: tuple  # ((coeffs, rhs), ...) rows, all <= sense, rhs finite and >= 0
     bounds: tuple  # ((0, hi), ...) per variable; hi finite
 
     def __post_init__(self):
         object.__setattr__(self, "objective", tuple(self.objective))
-        object.__setattr__(
-            self, "constraints", tuple((tuple(row), rhs) for row, rhs in self.constraints)
-        )
+        object.__setattr__(self, "constraints", tuple(map(tuple, self.constraints)))
         object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
         n = len(self.objective)
         if len(self.bounds) != n:
             raise ValueError("bounds length must match objective length")
-        for row, rhs in self.constraints:
+        for j, c in enumerate(self.objective):
+            if not -math.inf < c < math.inf:
+                raise ValueError(f"objective coefficient {j} must be finite, got {float(c)!r}")
+        for i, (row, rhs) in enumerate(self.constraints):
             if len(row) != n:
                 raise ValueError("constraint row length must match objective length")
-            if not rhs >= 0:
-                raise ValueError(f"right-hand side must be >= 0, got {rhs!r}")
+            if not 0 <= rhs < math.inf:
+                raise ValueError(f"right-hand side {i} must be finite and >= 0, got {rhs!r}")
         for lo, hi in self.bounds:
             if lo != 0:
                 raise ValueError(f"lower bound must be 0, got {lo!r}")
@@ -87,6 +94,14 @@ class LpSolution:
     objective: float
     status: str = OPTIMAL  # every LpProblem has an optimum
     pivots: int = 0  # simplex pivots taken to reach x
+
+
+def _check_finite(rows) -> None:
+    """Raise a ValueError naming the first coefficient of ``rows`` that is NaN or infinite."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not -math.inf < v < math.inf:
+                raise ValueError(f"constraint {i} coefficient {j} must be finite, got {float(v)!r}")
 
 
 def _leaving_row(rhs, coef, keys) -> int:
@@ -173,7 +188,11 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     # denominators, which also goes onto its slack
     if exact:
         tol, dtype = 0, object
-        rows = [_integer_row((*row, rhs)) for row, rhs in problem.constraints]
+        try:
+            rows = [_integer_row((*row, rhs)) for row, rhs in problem.constraints]
+        except (ValueError, OverflowError):  # Fraction of a NaN or an infinity
+            _check_finite(row for row, _ in problem.constraints)
+            raise
         rows += [_integer_row((h,)) for _, h in problem.bounds] + [_integer_row(problem.objective)]
         a, rhs = [ints[:-1] for ints, _ in rows[:n_rows]], [ints[-1] for ints, _ in rows[:m]]
         scale, cost = [s for _, s in rows], rows[m][0]
@@ -184,6 +203,8 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         scale = [1.0] * (m + 1)
     rhs, scale, cost = (np.array(v, dtype=dtype) for v in (rhs, scale, cost))
     a = np.array(a, dtype=dtype).reshape(n_rows, n)
+    if not exact and not np.isfinite(a).all():
+        _check_finite(a)
 
     # columns: the variables, one slack per LP row (the constraints, then the
     # bounds), the right-hand side; rows: the constraints, the objective's
@@ -213,7 +234,7 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             col = int(improving.argmax())
         else:  # devex: the largest d_j^2 / w_j among reduced costs d_j, ties to the smallest j
             cols = improving.nonzero()[0]
-            d = (tableau[n_rows, cols] / (denominator * scale[m])).astype(float)
+            d = (tableau[n_rows, cols] / (denominator * scale[m])).astype(float, copy=False)
             col = int(cols[(d * d / weights[cols]).argmax()])
         column = tableau[:stored, col]
         hit = column.nonzero()[0]  # the written rows with an entry in col
@@ -248,7 +269,7 @@ def simplex_solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             # w_k = max(w_k, (a_row,k / a_row,col)^2 w) over the pivot row's nonzero entries
             entries = tableau[row, :-1]
             k = entries.nonzero()[0]
-            ratio = (entries[k] / entries[col]).astype(float)
+            ratio = (entries[k] / entries[col]).astype(float, copy=False)
             weights[k] = np.maximum(weights[k], ratio * ratio * w)
         pivots += 1
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force: Pascal's recurrence, exhaustive
 vertex enumeration, a simplex that pivots on ``Fraction`` entries, grid
-search over perturbation balls, pairwise Hamming scans, exact-rational
+search over perturbation balls, pairwise Hamming scans, an edge-by-edge
+fill of the robust LP's rows, exact-rational
 re-summation, one-token-at-a-time samplers, a max-flow search that scans
 until it dequeues a node next to the sink.  None of it
 shares code paths with the library, except that ``max_flow_fifo`` works on a
@@ -506,6 +507,23 @@ def hamming_graph_brute(k: int, n: int, c: int) -> tuple[tuple[int, ...], ...]:
         tuple(v for v, sv in enumerate(strings) if sum(a != b for a, b in zip(su, sv)) <= c)
         for su in strings
     )
+
+
+def robust_lp_rows(rho: DiscreteDist, alpha, graph, include_sum_row: bool = False) -> tuple:
+    """Constraint rows of ``robust.robust_lp_build`` as tuples, filled edge by edge.
+
+    Row z holds p_y in column y for every edge y -> z and is bounded by
+    alpha; the sum row, when asked for, is n ones bounded by 1.
+    """
+    probs, n = rho.as_floats(), graph.n
+    rows = [[0.0] * n for _ in range(n)]
+    for y, successors in enumerate(graph.out_adj):
+        for z in successors:
+            rows[z][y] = probs[y]
+    constraints = [(tuple(row), alpha) for row in rows]
+    if include_sum_row:
+        constraints.append(((1.0,) * n, 1.0))
+    return tuple(constraints)
 
 
 def random_dist(rng: np.random.Generator, k: int, spread: float = 1.0):

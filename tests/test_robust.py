@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import hamming_graph_brute, random_dist, vertex_enumeration_optimum
+from oracles import hamming_graph_brute, random_dist, robust_lp_rows, vertex_enumeration_optimum
 from wmstat.dist import DiscreteDist
 from wmstat.robust import (
     PerturbationGraph,
@@ -15,7 +15,7 @@ from wmstat.robust import (
     robust_ump_coupling,
     shrinkage,
 )
-from wmstat.simplex import simplex_solve
+from wmstat.simplex import LpProblem, simplex_solve
 from wmstat.ump import Coupling, Region, clipped_surplus, type1_exact, type2_exact, ump_coupling
 
 
@@ -32,7 +32,7 @@ class TestPerturbationGraph:
         # edges 0 -> 1 and 2 -> 1: row z holds p_y in column y for each edge y -> z
         g = PerturbationGraph.from_edges(3, [(0, 1), (2, 1)])
         p = robust_lp_build(DiscreteDist(probs=(0.5, 0.3, 0.2)), 0.25, g)
-        assert p.constraints == (
+        assert tuple((tuple(row.tolist()), rhs) for row, rhs in p.constraints) == (
             ((0.5, 0.0, 0.0), 0.25),
             ((0.5, 0.3, 0.2), 0.25),
             ((0.0, 0.0, 0.2), 0.25),
@@ -208,6 +208,42 @@ class TestRobustLp:
             mine = simplex_solve(problem)
             want = vertex_enumeration_optimum(problem)
             assert mine.objective == pytest.approx(want, abs=1e-8)
+
+
+def robust_lp_cases():
+    """Seeded edit graphs with k = 2..9, then lp-flow's three Hamming graphs, each with a seeded ρ."""
+    rng = np.random.default_rng(30)
+    for k in range(2, 10):
+        edges = [(u, v) for u in range(k) for v in range(k) if u != v and rng.random() < 0.4]
+        graph = PerturbationGraph.from_edges(k, edges)
+        rho = DiscreteDist(probs=random_dist(rng, k))
+        yield pytest.param(graph, rho, float(rng.uniform(0.05, 0.6)), id=f"k{k}")
+    for spec in ((2, 8, 1), (2, 9, 1), (2, 6, 2)):
+        graph = hamming_graph(*spec)
+        rho = DiscreteDist(probs=random_dist(rng, graph.n))
+        yield pytest.param(graph, rho, 0.05, id="hamming-%d-%d-%d" % spec)
+
+
+@pytest.mark.parametrize("sum_row", [False, True], ids=["no-sum", "sum"])
+@pytest.mark.parametrize("graph, rho, alpha", robust_lp_cases())
+def test_lp_build_matches_the_edge_by_edge_rows(graph, rho, alpha, sum_row):
+    problem = robust_lp_build(rho, alpha, graph, sum_row)
+    want = robust_lp_rows(rho, alpha, graph, sum_row)
+    rows = np.array([row for row, _ in problem.constraints])
+    assert rows.view(np.uint64).tolist() == np.array([row for row, _ in want]).view(np.uint64).tolist()
+    assert [float(b).hex() for _, b in problem.constraints] == [b.hex() for _, b in want]
+    for row, _ in problem.constraints:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.5
+    # the array rows and a tuple copy solve alike, bit for bit
+    tuples = LpProblem(problem.objective, want, problem.bounds)
+    for exact in (False, True) if graph.n < 10 else (False,):
+        got, expected = simplex_solve(problem, exact), simplex_solve(tuples, exact)
+        assert got.pivots == expected.pivots
+        values = [(*s.x, s.objective) for s in (got, expected)]
+        if not exact:
+            values = [[v.hex() for v in vs] for vs in values]
+        assert values[0] == values[1]
 
 
 # float.hex of the robust miss at alpha = 0.05, one seeded Dirichlet rho per

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,17 +29,48 @@ def test_two_variables_shared_budget():
 
 
 @pytest.mark.parametrize(
-    "constraints, bounds, match",
+    "objective, constraints, bounds, match",
     [
-        ((((1.0,), -1.0),), ((0.0, 1.0),), "right-hand side"),
-        ((((1.0,), 1.0),), ((0.5, 1.0),), "lower bound"),
-        ((), ((0.0, math.inf),), "upper bound"),
+        ((1.0,), (((1.0,), -1.0),), ((0.0, 1.0),), "right-hand side"),
+        ((1.0,), (((1.0,), 1.0),), ((0.5, 1.0),), "lower bound"),
+        ((1.0,), (), ((0.0, math.inf),), "upper bound"),
+        ((1.0, math.nan), (), ((0.0, 1.0),) * 2, "objective coefficient 1 must be finite, got nan"),
+        ((math.inf, 1.0), (), ((0.0, 1.0),) * 2, "objective coefficient 0 must be finite, got inf"),
+        ((1.0,), (((1.0,), math.nan),), ((0.0, 1.0),), "right-hand side 0 must be finite and >= 0, got nan"),
+        ((1.0,), (((1.0,), 1.0), ((1.0,), math.inf)), ((0.0, 1.0),), r"right-hand side 1 .* got inf"),
     ],
-    ids=["negative-rhs", "nonzero-lower-bound", "infinite-upper-bound"],
+    ids=[
+        "negative-rhs",
+        "nonzero-lower-bound",
+        "infinite-upper-bound",
+        "nan-objective",
+        "infinite-objective",
+        "nan-rhs",
+        "infinite-rhs",
+    ],
 )
-def test_rejects_lps_outside_the_family(constraints, bounds, match):
+def test_rejects_lps_outside_the_family(objective, constraints, bounds, match):
     with pytest.raises(ValueError, match=match):
-        LpProblem(objective=(1.0,), constraints=constraints, bounds=bounds)
+        LpProblem(objective=objective, constraints=constraints, bounds=bounds)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((math.nan, 1.0), "constraint 1 coefficient 0 must be finite, got nan"),
+        ((1.0, math.inf), "constraint 1 coefficient 1 must be finite, got inf"),
+        (np.array([-math.inf, 1.0]), "constraint 1 coefficient 0 must be finite, got -inf"),
+    ],
+    ids=["nan", "inf", "array-minus-inf"],
+)
+def test_rejects_non_finite_coefficients(row, message, exact):
+    # a NaN fails every comparison, so unchecked the solve ends "optimal" at a wrong vertex
+    problem = LpProblem(
+        objective=(1.0, 1.0), constraints=(((0.5, 0.5), 1.0), (row, 1.0)), bounds=((0.0, 1.0),) * 2
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simplex_solve(problem, exact=exact)
 
 
 def test_exact_mode_returns_fractions():
