@@ -22,7 +22,6 @@ LN2 = math.log(2.0)
 
 PROB_SUM_TOL = 1e-12
 BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
 
 
 class ResourceLimit(ValueError):
@@ -171,10 +170,8 @@ def inv_binary_entropy(h: float) -> float:
         raise ValueError(f"entropy value {h!r} outside [0, ln 2]")
     h = min(h, LN2)
     lo, hi = 0.5, 1.0  # binary_entropy decreasing on [1/2, 1]
-    for _ in range(BISECT_MAX_ITER):
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_TOL:
-            break
         if binary_entropy(mid) > h:
             lo = mid
         else:

@@ -3,22 +3,22 @@
 A watermarking scheme is a coupling of an output X with a random rejection
 region R.  The optimal (UMP) scheme of level alpha pairs each outcome with its
 own singleton region, clipped so no single outcome is rejected with
-probability above alpha; allowing the output marginal to move by epsilon in
-total variation first "water-fills" mass from above-alpha outcomes to
-below-alpha ones.  This module builds that coupling and evaluates exact
-Type I and Type II errors of any ``Coupling``, the one coupling type, which
-the robust and model-agnostic constructions build too.
+probability above alpha.  A budget of epsilon in total variation first
+"water-fills": one transfer of min(epsilon, S, C) moves from the outcomes
+above alpha (surplus S), largest surplus first, to those below (room C),
+largest room first, so the miss is (S - min(epsilon, S, C))+.  This module
+builds that coupling and evaluates exact Type I and Type II errors of any
+``Coupling``, the one coupling type, which the robust and model-agnostic
+constructions build too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .dist import DiscreteDist, _check_alpha
-
-WEIGHT_SUM_TOL = 1e-12
+from .dist import PROB_SUM_TOL, DiscreteDist, _check_alpha
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class Coupling:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         total = math.fsum(w for _, _, w in self.atoms)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         for x, region, w in self.atoms:
             if w < 0:
@@ -93,58 +93,46 @@ def clipped_surplus(probs: Iterable[float], alpha: float) -> float:
     return math.fsum(max(float(p) - alpha, 0.0) for p in probs)
 
 
-def optimal_distortion(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> DiscreteDist:
-    """Distribution within TV-eps of ``rho`` minimizing the clipped surplus.
+def _transfer(probs: Sequence[float], alpha: float, eps: float):
+    """The water-filling decision: (donors, receivers, S, moved).
 
-    Water-filling: move mass (at most eps in total) from outcomes above alpha
-    to outcomes below alpha, largest surplus to largest remaining capacity
-    first.  The achieved objective is (S - min(eps, S, C))+ with S the donor
-    surplus and C the receiver capacity; the returned minimizer is one
-    representative of a generally non-unique argmin.
+    Donors are the outcomes above alpha, largest surplus first; receivers the
+    outcomes below alpha, largest room first; ties go to the lower index.  S
+    is the donors' total surplus and ``moved = min(eps, S, C)``, with C the
+    receivers' total room, is the mass the optimum moves.
     """
     _check_alpha(alpha)
     if not eps >= 0:  # inf is legal: an unlimited distortion budget
         raise ValueError(f"eps must be >= 0, got {eps!r}")
+    donors = sorted((j for j, p in enumerate(probs) if p > alpha), key=lambda j: (alpha - probs[j], j))
+    receivers = sorted((j for j, p in enumerate(probs) if p < alpha), key=lambda j: (probs[j] - alpha, j))
+    surplus = math.fsum(probs[j] - alpha for j in donors)
+    capacity = math.fsum(alpha - probs[j] for j in receivers)
+    return donors, receivers, surplus, min(eps, surplus, capacity)
+
+
+def optimal_distortion(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> DiscreteDist:
+    """Distribution within TV-eps of ``rho`` minimizing the clipped surplus.
+
+    Water-filling: ``_transfer``'s ``moved`` leaves the donors and reaches the
+    receivers, each side filled in its order and each outcome up to its
+    distance from alpha: one minimizer of a generally non-unique argmin.
+    """
     probs = list(rho.as_floats())
-    donors = sorted(
-        (j for j in range(len(probs)) if probs[j] > alpha),
-        key=lambda j: (-(probs[j] - alpha), j),
-    )
-    receivers = sorted(
-        (j for j in range(len(probs)) if probs[j] < alpha),
-        key=lambda j: (-(alpha - probs[j]), j),
-    )
-    budget = float(eps)
-    r = 0
-    for j in donors:
-        surplus = probs[j] - alpha
-        taken = 0.0
-        while surplus > 0.0 and budget > 0.0 and r < len(receivers):
-            dst = receivers[r]
-            room = alpha - probs[dst]
-            if room <= 0.0:
-                r += 1
-                continue
-            moved = min(surplus, room, budget)
-            probs[dst] += moved
-            taken += moved
-            surplus -= moved
-            budget -= moved
-            if moved >= room:
-                r += 1
-        if taken > 0.0:
-            probs[j] -= taken
+    donors, receivers, _, moved = _transfer(probs, alpha, eps)
+    for side, sign in ((donors, -1.0), (receivers, 1.0)):
+        left = moved
+        for j in side:
+            step = min(left, abs(probs[j] - alpha))
+            probs[j] += sign * step
+            left -= step
     return DiscreteDist(probs=tuple(probs))
 
 
 def optimal_type2(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> float:
-    """Minimum Type II error of any eps-distorted level-alpha coupling."""
-    _check_alpha(alpha)
-    if not eps >= 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
-    surplus = clipped_surplus(rho.probs, alpha)
-    capacity = math.fsum(max(alpha - float(p), 0.0) for p in rho.probs)
-    return max(surplus - min(eps, surplus, capacity), 0.0)
+    """Minimum Type II error of any eps-distorted level-alpha coupling: (S - min(eps, S, C))+."""
+    _, _, surplus, moved = _transfer(rho.as_floats(), alpha, eps)
+    return max(surplus - moved, 0.0)
 
 
 def ump_coupling(rho: DiscreteDist, alpha: float, eps: float = 0.0) -> Coupling:

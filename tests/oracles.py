@@ -477,6 +477,31 @@ def srl_type1_exact(cfg: sch.SoftRedListConfig) -> float:
     )
 
 
+def srl_boosted_row(row: DiscreteDist, delta: float) -> DiscreteDist:
+    """Soft red list's per-token output law on a binary row: the boosted row
+    averaged over the two equally likely partitions (either token green)."""
+    p, q = row.as_floats()
+    boost = math.exp(delta)
+    q_out = 0.5 * q / (p * boost + q) + 0.5 * q * boost / (q * boost + p)
+    return DiscreteDist(probs=(1.0 - q_out, q_out))
+
+
+def srl_distortion_iid_binary(row: DiscreteDist, n: int, delta: float) -> float:
+    """Soft red list's sequence distortion TV(p^n, p'^n) on n i.i.d. binary tokens.
+
+    The key draws each position's partition apart from the text, so the output
+    is i.i.d. with p' = ``srl_boosted_row``.  A sequence's probability under
+    either law depends only on its count j of token 1, so the sum over 2^n
+    sequences collapses to the n + 1 binomial classes.
+    """
+    p, q = row.as_floats()
+    p_out, q_out = srl_boosted_row(row, delta).as_floats()
+    return 0.5 * math.fsum(
+        math.comb(n, j) * abs(p ** (n - j) * q**j - p_out ** (n - j) * q_out**j)
+        for j in range(n + 1)
+    )
+
+
 def ump_type1_iid_exact(row: DiscreteDist, n: int, alpha: float) -> float:
     """UMP-sequence Type I on n i.i.d. tokens of ``row``, in exact rationals.
 

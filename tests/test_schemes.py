@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -427,6 +428,40 @@ class TestExactIidReferences:
         self.assert_within_4_sigma(type1, oracles.ump_type1_iid_exact(row, n, 0.01), 4000)
 
 
+class TestSoftRedListDistortionOracle:
+    """``oracles.srl_distortion_iid_binary``, the exact ε the dominance row below uses."""
+
+    @pytest.mark.parametrize("delta", [0.434, 2.0])
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_soft_red_list_distortion_sums_every_sequence(self, n, delta):
+        row = hard_instance(0.1)
+        # the output law of one token: each partition (token 0 or token 1 green)
+        # with probability 1/2, the green token's weight multiplied by e^delta
+        boosted = []
+        for green in (0, 1):
+            weights = [p * math.exp(delta) if x == green else p for x, p in enumerate(row.probs)]
+            boosted.append([w / sum(weights) for w in weights])
+        per_token = [0.5 * (a + b) for a, b in zip(*boosted)]
+        brute = 0.5 * math.fsum(
+            abs(math.prod(row.probs[x] for x in seq) - math.prod(per_token[x] for x in seq))
+            for seq in itertools.product((0, 1), repeat=n)
+        )
+        assert abs(oracles.srl_distortion_iid_binary(row, n, delta) - brute) <= 1e-15
+
+    @pytest.mark.parametrize("delta", [0.434, 2.0])
+    def test_soft_red_list_emits_the_averaged_boosted_law(self, delta):
+        # 400 000 tokens: the unboosted row lies 9.6 sigma off at delta = 0.434
+        row, n, keys = hard_instance(0.1), 100, 4000
+        srl = SoftRedList(SoftRedListConfig(n=n, target_alpha=0.01, delta=delta))
+        seeds = [key.seed for key in tv_keys(keys)]
+        lm = oracles.iid_lm(row)
+        tokens, _ = srl.sample(lm, seeds, srl.keyed(lm, seeds, n))
+        majority = int(np.argmax(row.probs))
+        want = oracles.srl_boosted_row(row, delta).probs[majority]
+        share = float(np.mean(tokens == majority))
+        assert abs(share - want) <= 4 * math.sqrt(want * (1 - want) / tokens.size)
+
+
 class TestDominanceOnTheHardInstance:
     """No scheme misses less than the optimum β₀, at lengths where β₀ is far from 0 and 1.
 
@@ -434,10 +469,10 @@ class TestDominanceOnTheHardInstance:
     β₀(n) = ``type2_product_exact`` is 0.43, 0.18 and 0.035 at h = 0.1 and
     n = 40, 80 and 150; 0.52, 0.12 and 0.0095 at h = 0.2 and n = 20, 40 and
     76; 0.41 and 0.10 at h = 0.05 and n = 100 and 250: a scheme that beat the
-    optimum would show.  UMP-sequence attains β₀ and keyed binary,
-    distortion-free, cannot beat it.  Soft red list joins once its exact
-    distortion ε is computed (its bound is max(β₀ − ε, 0)), and ITS once its
-    block size gives it power that grows with n.
+    optimum would show.  UMP-sequence attains β₀; keyed binary and ITS at
+    ``block_k = n`` are distortion-free and cannot beat it.  Soft red list
+    distorts the text by its exact ε, so its bound is the optimum at that
+    budget, max(β₀ − ε, 0): binary sequences leave room C ≥ α·2ⁿ − 2 below α.
     """
 
     TRIALS = 2000
@@ -457,6 +492,27 @@ class TestDominanceOnTheHardInstance:
         christ = ChristBinary(ChristBinaryConfig(n=n, target_alpha=alpha))
         christ_miss, _ = estimate_type2(christ, lm, trials=self.TRIALS, seed=74)
         assert christ_miss >= beta0 - 4 * sigma
+
+    def test_soft_red_list_against_the_optimum_at_its_distortion(self):
+        # at the default delta = 2 the distortion exceeds beta0 (0.77 at n = 100) and
+        # the bound is 0; delta = 0.434 gives eps = 0.050 against beta0 = 0.116
+        row, n, alpha, delta = hard_instance(0.1), 100, 0.01, 0.434
+        eps = oracles.srl_distortion_iid_binary(row, n, delta)
+        bound = max(type2_product_exact(row, n, alpha) - eps, 0.0)
+        assert bound > 0.05
+        srl = SoftRedList(SoftRedListConfig(n=n, target_alpha=alpha, delta=delta))
+        miss, _ = estimate_type2(srl, oracles.iid_lm(row), trials=self.TRIALS, seed=74)
+        assert miss >= bound - 4 * math.sqrt(bound * (1 - bound) / self.TRIALS)
+
+    @pytest.mark.parametrize("h, n", [(0.2, 20), (0.1, 40)])
+    def test_its_at_whole_text_block(self, h, n):
+        # one trial costs about n^2 (R + 1) cells, so only the two shortest cases run
+        row, alpha = hard_instance(h), 0.01
+        beta0 = type2_product_exact(row, n, alpha)
+        assert beta0 > 0.4
+        its = InverseTransform(ItsConfig(n=n, target_alpha=alpha, block_k=n))
+        miss, _ = estimate_type2(its, oracles.iid_lm(row), trials=self.TRIALS, seed=74)
+        assert miss >= beta0 - 4 * math.sqrt(beta0 * (1 - beta0) / self.TRIALS)
 
 
 class TestItsPowerAtWholeTextBlock:
