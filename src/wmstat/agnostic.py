@@ -64,6 +64,7 @@ class UniformRegionLaw:
 
     def hit_probability(self, u_size: int) -> Fraction:
         """P(a sampled region intersects a fixed set of ``u_size`` outcomes)."""
+        _check_int(u_size=u_size)
         if not 0 <= u_size <= self.n:
             raise ValueError(f"set size {u_size} outside 0..{self.n}")
         return self.hit_probabilities[u_size]

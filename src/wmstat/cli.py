@@ -105,7 +105,7 @@ def _run_rates(params: dict, seed: int) -> Iterable[tuple]:
     lower = rates.min_tokens_lower_bound(h, alpha, beta)
     upper = rates.min_tokens_upper_bound(h, alpha, beta, rho0.k)
     _, curve = rates.n_required_empirical(rho0, alpha, beta, params["n_max"])
-    return [(n, value, lower, upper) for n, value, _ in curve.entries]
+    return [(n, value, lower, upper) for n, value in curve.entries]
 
 
 def _run_agnostic(params: dict, seed: int) -> Iterable[tuple]:
@@ -323,6 +323,10 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     for path in (out, svg):
         if path is not None and not path.parent.is_dir():
             raise ConfigError(f"cannot write {path}: directory {path.parent} does not exist")
+        if path is not None and path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    if out is not None and svg is not None and out.resolve() == svg.resolve():
+        raise ConfigError(f"cannot write {out} twice: --out and --svg name the same file")
     if svg is not None and spec.plot is None:
         raise ConfigError(f"experiment {name!r} has no plot hint")
 

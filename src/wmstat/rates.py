@@ -11,15 +11,15 @@ empirical crossing point.  The walk's frontier is three arrays, about 24 B a
 prefix; it refuses before it builds a level past ``MAX_WALK_PREFIXES`` prefixes.
 Log-factorials are ``math.lgamma`` of the counts read; no table outlives a call.
 
-The first-crossing scan evaluates two-outcome supports a chunk of
-consecutive lengths at a time, over only the classes above alpha,
-bit-identical to one length at a time; a chunk holds at most ``SCAN_CELLS``
-cells, so memory does not grow with ``n_max``.
+One evaluator picks the exact path by support size and clips at 1.
+``type2_product_exact`` reads it at one length; the first-crossing scan at
+consecutive lengths, on two outcomes a chunk of at most ``SCAN_CELLS`` cells at
+a time over only the classes above alpha, bit-identical to one length at a time.
 
 The Monte Carlo estimator draws each block of ``MC_BLOCK`` sequences from
 one keyed generator, ``MC_CHUNK`` uniforms (or one sequence) at a time, and
-sums only the sequences that can lie above alpha.  Lengths, sample counts and
-``n_max`` must be ints or numpy integers.
+sums only the sequences that can lie above alpha.  Lengths, sample counts,
+seeds, ``n_max`` and alphabet sizes must be ints or numpy integers.
 """
 
 from __future__ import annotations
@@ -54,27 +54,22 @@ class RateBounds:
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Miss probability as a function of sequence length n.
+    """Exact miss probability by sequence length: (n, beta) pairs, n increasing."""
 
-    Entries are (n, beta, stderr) with stderr 0 for exact evaluations.
-    """
-
-    entries: tuple[tuple[int, float, float], ...]
+    entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         last_n = 0
-        for n, beta, stderr in self.entries:
+        for n, beta in self.entries:
             if n <= last_n:
                 raise ValueError("curve n values must be strictly increasing")
             if not 0.0 <= beta <= 1.0:
                 raise ValueError(f"beta {beta!r} outside [0,1]")
-            if stderr < 0.0:
-                raise ValueError("stderr must be >= 0")
             last_n = n
 
     def beta_at(self, n: int) -> float:
-        for entry_n, beta, _ in self.entries:
+        for entry_n, beta in self.entries:
             if entry_n == n:
                 return beta
         raise KeyError(f"n={n} not in curve")
@@ -185,6 +180,19 @@ def _beta_count_vectors(probs: list[float], n: int, alpha: float) -> float:
     return math.fsum(math.exp(x) * -math.expm1(y) for x, y in zip(a, b))
 
 
+def _misses(probs: list[float], n: int, n_hi: int, alpha: float, walk: bool = False) -> list:
+    """Exact misses at lengths n, n + 1, ... below n_hi, each clipped at 1 (rounding can
+    pass 1 at tiny alpha): 1 - alpha on one outcome, a ``_beta_binomial`` chunk on two
+    unless ``walk``, otherwise the class walk at length n alone."""
+    if len(probs) == 1:
+        return [1.0 - alpha] * (n_hi - n)  # the single sequence has probability 1 > alpha
+    if len(probs) == 2 and not walk:
+        betas = _beta_binomial(math.log(probs[0]), math.log(probs[1]), n, n_hi, math.log(alpha))
+    else:
+        betas = [_beta_count_vectors(probs, n, alpha)]
+    return np.minimum(betas, 1.0).tolist()
+
+
 def type2_product_exact(
     rho0: DiscreteDist, n: int, alpha: float, method: str = "auto"
 ) -> float:
@@ -198,17 +206,9 @@ def type2_product_exact(
     _check_int(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    probs = _support(rho0)
     if method not in ("auto", "count-vectors"):
         raise ValueError(f"unknown method {method!r}")
-    if len(probs) == 1:
-        return 1.0 - alpha  # the single sequence has probability 1 > alpha
-    if method == "auto" and len(probs) == 2:
-        log_p, log_q = math.log(probs[0]), math.log(probs[1])
-        beta = float(_beta_binomial(log_p, log_q, int(n), int(n) + 1, math.log(alpha))[0])
-    else:
-        beta = _beta_count_vectors(probs, n, alpha)
-    return min(beta, 1.0)  # rounding can pass 1 at tiny alpha
+    return _misses(_support(rho0), int(n), int(n) + 1, alpha, method == "count-vectors")[0]
 
 
 def type2_product_mc(
@@ -227,7 +227,7 @@ def type2_product_mc(
     next likeliest; rows ``_kept_range`` (exact paths' margin) puts below alpha add +0.0 unsummed.
     """
     _check_alpha(alpha)
-    _check_int(n=n, samples=samples)
+    _check_int(n=n, samples=samples, seed=seed)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if samples < 100:
@@ -301,6 +301,7 @@ def min_tokens_lower_bound(h: float, alpha: float, beta: float) -> float:
 def min_tokens_upper_bound(h: float, alpha: float, beta: float, k: int) -> float:
     """Tokens beyond which the optimal coupling meets both error levels."""
     _check_rate_domain(h, alpha, beta)
+    _check_int(k=k)
     if k < 2:
         raise ValueError(f"token alphabet size must be >= 2, got {k}")
     first = 200.0 * (2.0 * math.log(9.0 * k / h) / h) * min(
@@ -331,9 +332,9 @@ def n_required_empirical(
 
     The miss probability is not proven monotone in n, so the first crossing
     is returned together with the whole scanned curve; None when no crossing
-    occurs by ``n_max``.  Two-outcome supports are scanned a chunk of
-    consecutive lengths at a time, over only the classes above alpha,
-    bit-identical to ``type2_product_exact`` one length at a time.
+    occurs by ``n_max``.  Each step reads ``_misses`` at a run of
+    consecutive lengths (a chunk on two outcomes, one length on three or
+    more), bit-identical to ``type2_product_exact`` one length at a time.
     """
     _check_alpha(alpha)
     if not 0.0 < beta < 1.0:
@@ -348,15 +349,10 @@ def n_required_empirical(
     entries = []
     n, size = 1, SCAN_FIRST
     while n <= n_max:
-        if len(probs) == 2:
-            log_p, log_q = math.log(probs[0]), math.log(probs[1])
-            values = _beta_binomial(log_p, log_q, n, min(n + size, n_max + 1), math.log(alpha))
-            values, size = np.minimum(values, 1.0).tolist(), min(2 * size, SCAN_CELLS)
-        else:
-            values = [type2_product_exact(rho0, n, alpha)]
-        for value in values:
-            entries.append((n, value, 0.0))
+        for value in _misses(probs, n, min(n + size, n_max + 1), alpha):
+            entries.append((n, value))
             if value <= beta:
                 return n, RateCurve(entries=tuple(entries))
             n += 1
+        size = min(2 * size, SCAN_CELLS)
     return None, RateCurve(entries=tuple(entries))

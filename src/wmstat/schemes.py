@@ -75,6 +75,9 @@ class WatermarkKey:
 
     seed: int
 
+    def __post_init__(self):
+        _check_int(seed=self.seed)
+
 
 @dataclass(frozen=True)
 class GenRun:
@@ -202,6 +205,7 @@ class SoftRedListConfig(_SchemeConfig):
             raise ValueError(f"green fraction must be in (0,1), got {self.gamma!r}")
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"boost must be finite and >= 0, got {self.delta!r}")
+        _check_int(vocab_size=self.vocab_size)
         g = self.green_size
         if not 1 <= g <= self.vocab_size - 1:
             raise ValueError(f"green list size {g} degenerate for vocab {self.vocab_size}")
@@ -304,10 +308,12 @@ class ChristBinary(_Scheme):
         length = tokens.shape[1]
         if None in meta:
             raise ValueError("keyed binary detection needs the watermark start index (meta)")
-        starts = np.array([int(start) for start in meta], dtype=np.int64)
-        for start in starts:
-            if not 0 <= start <= length:
-                raise ValueError(f"start index {start} outside 0..{length}")
+        starts = np.array(meta)
+        if starts.dtype.kind not in "iu":  # one check per call: bool, float and str fail
+            raise ValueError(f"start index must be an integer, got {meta!r}")
+        outside = starts[(starts < 0) | (starts > length)]
+        if outside.size:
+            raise ValueError(f"start index {outside[0]} outside 0..{length}")
         statistic = np.zeros(len(tokens))
         reject = np.zeros(len(tokens), dtype=bool)
         # trials sharing a start sum rows of equal length: one row-wise np.sum
@@ -334,7 +340,9 @@ class ItsConfig(_SchemeConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_int(resamples=self.resamples, block_k=self.block_k)
+        _check_int(resamples=self.resamples, block_k=self.block_k, vocab_size=self.vocab_size)
+        if self.vocab_size < 2:
+            raise ValueError(f"vocab size must be >= 2, got {self.vocab_size}")
         if self.resamples < 1:
             raise ValueError(f"resamples must be >= 1, got {self.resamples}")
         if self.block_k < 2:

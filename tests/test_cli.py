@@ -180,6 +180,22 @@ class TestConfigParsing:
         assert main(["rates", "--n_max", "64", "--seed", "1", flag, str(target)]) == 2
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "out, svg, message",
+        [("a.csv", "adir", "adir: it is a directory"), ("adir", None, "adir: it is a directory"),
+         ("r.csv", "./r.csv", "r.csv twice")],
+        ids=["svg-directory", "out-directory", "same-path"],
+    )
+    def test_unwritable_output_path(self, tmp_path, capsys, monkeypatch, out, svg, message):
+        # exits before the experiment runs, so no file is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        argv = ["ump", "--seed", "1", "--out", out] + (["--svg", svg] if svg else [])
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert not any((tmp_path / "adir").iterdir())
+
     def test_missing_input_file(self, tmp_path, capsys):
         path = tmp_path / "absent.cfg"
         assert main(["ump", "--config", str(path), "--seed", "1"]) == 2

@@ -141,8 +141,8 @@ class TestExactProduct:
     def test_scan_stays_a_probability_at_tiny_alpha(self):
         n_star, curve = n_required_empirical(hard_instance(0.1), 1e-30, 0.01, 50)
         assert n_star is None
-        assert [n for n, _, _ in curve.entries] == list(range(1, 51))
-        assert max(beta for _, beta, _ in curve.entries) == 1.0
+        assert [n for n, _ in curve.entries] == list(range(1, 51))
+        assert max(beta for _, beta in curve.entries) == 1.0
 
 
 class TestPrunedCountVectors:
@@ -356,7 +356,7 @@ def _scan_oracle(rho, alpha, beta, n_max):
             value = beta_binomial_full(log_p, log_q, n, log_alpha)
         else:
             value = beta_count_vectors_full(rho, n, alpha)
-        entries.append((n, value.hex(), 0.0))
+        entries.append((n, value.hex()))
         if value <= beta:
             return n, entries
     return None, entries
@@ -369,7 +369,7 @@ class TestScanMatchesPerLength:
     @staticmethod
     def assert_same(rho, alpha, beta, n_max):
         n_star, curve = n_required_empirical(rho, alpha, beta, n_max)
-        got = [(n, value.hex(), stderr) for n, value, stderr in curve.entries]
+        got = [(n, value.hex()) for n, value in curve.entries]
         assert (n_star, got) == _scan_oracle(rho, alpha, beta, n_max)
         return n_star
 
@@ -392,7 +392,25 @@ class TestScanMatchesPerLength:
     def test_n_max_below_crossing(self):
         assert self.assert_same(hard_instance(0.1), 0.01, 0.01, 150) is None
         _, curve = n_required_empirical(hard_instance(0.1), 0.01, 0.01, 150)
-        assert [n for n, _, _ in curve.entries] == list(range(1, 151))
+        assert [n for n, _ in curve.entries] == list(range(1, 151))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [DiscreteDist.point_mass(2, 0), hard_instance(0.2), DiscreteDist(probs=(0.9, 0.06, 0.04))],
+        ids=["one-outcome", "two-outcomes", "three-outcomes"],
+    )
+    def test_curve_is_the_exact_miss_at_each_length(self, rho):
+        # crossings at 76 (hard-0.2, past the chunks 1..16 and 17..48) and 38
+        _, curve = n_required_empirical(rho, 0.01, 0.01, 100)
+        assert len(curve.entries) > 16
+        got = [value.hex() for _, value in curve.entries]
+        assert got == [type2_product_exact(rho, n, 0.01).hex() for n, _ in curve.entries]
+
+    @pytest.mark.parametrize("n", [1, 17, 76, 189])
+    def test_count_vectors_forces_the_walk_on_two_outcomes(self, n):
+        rho = hard_instance(0.1)
+        forced = type2_product_exact(rho, n, 0.01, method="count-vectors")
+        assert forced.hex() == beta_count_vectors_full(rho, n, 0.01).hex()
 
     def test_small_cell_budget(self, monkeypatch):
         monkeypatch.setattr(rates, "SCAN_CELLS", 3)
@@ -427,7 +445,7 @@ class TestLongScans:
         rho = hard_instance(h)
         got, curve = n_required_empirical(rho, 0.01, 0.01, 100_000)
         assert got == n_star
-        assert [n for n, _, _ in curve.entries] == list(range(1, n_star + 1))
+        assert [n for n, _ in curve.entries] == list(range(1, n_star + 1))
         log_p, log_q, log_alpha = _logs(*rho.probs, 0.01)
         before, at = (beta_binomial_full(log_p, log_q, n, log_alpha) for n in (n_star - 1, n_star))
         assert before > 0.01 >= at
@@ -714,7 +732,7 @@ class TestRequiredTokens:
     def test_point_mass_never_crosses(self):
         n_star, curve = n_required_empirical(DiscreteDist.point_mass(2, 0), 0.05, 0.05, 50)
         assert n_star is None
-        assert all(beta == pytest.approx(0.95, abs=1e-12) for _, beta, _ in curve.entries)
+        assert all(beta == pytest.approx(0.95, abs=1e-12) for _, beta in curve.entries)
 
     def test_fair_coin_crosses_fast(self):
         n_star, curve = n_required_empirical(DiscreteDist(probs=(0.5, 0.5)), 0.05, 0.05, 50)
@@ -731,14 +749,14 @@ class TestRequiredTokens:
         assert curve.beta_at(math.floor(lower) - 1) > 0.01
         # impossibility certificate: every length below the bound falls short
         assert all(
-            beta > 0.01 for n, beta, _ in curve.entries if n <= math.floor(lower) - 1
+            beta > 0.01 for n, beta in curve.entries if n <= math.floor(lower) - 1
         )
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            RateCurve(entries=((2, 0.5, 0.0), (1, 0.4, 0.0)))
+            RateCurve(entries=((2, 0.5), (1, 0.4)))
         with pytest.raises(ValueError):
-            RateCurve(entries=((1, 1.5, 0.0),))
+            RateCurve(entries=((1, 1.5),))
 
     def test_scan_cap(self):
         with pytest.raises(ValueError):
@@ -748,14 +766,13 @@ class TestRequiredTokens:
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: RateCurve(entries=((1, 1.5, 0.0),)), ValueError, r"beta 1.5 outside \[0,1\]"),
-        (lambda: RateCurve(entries=((1, 0.5, -0.1),)), ValueError, "stderr must be >= 0"),
-        (lambda: RateCurve(entries=((1, 0.5, 0.0), (3, 0.2, 0.0))).beta_at(2), KeyError,
+        (lambda: RateCurve(entries=((1, 1.5),)), ValueError, r"beta 1.5 outside \[0,1\]"),
+        (lambda: RateCurve(entries=((1, 0.5), (3, 0.2))).beta_at(2), KeyError,
          "n=2 not in curve"),
         (lambda: n_required_empirical(hard_instance(0.1), 0.01, 1.0, 16), ValueError,
          r"beta must be in \(0,1\), got 1.0"),
     ],
-    ids=["curve-beta", "curve-stderr", "curve-missing-n", "scan-beta"],
+    ids=["curve-beta", "curve-missing-n", "scan-beta"],
 )
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):

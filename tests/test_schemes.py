@@ -15,7 +15,9 @@ from wmstat import schemes
 from wmstat.dist import DiscreteDist
 from wmstat.lm import (ToyLM, biased_binary_lm, deterministic_lm, drifting_lm,
                        fair_coin_lm, load_lm, save_lm)
-from wmstat.rates import hard_instance, type2_product_exact
+from wmstat.agnostic import UniformRegionLaw
+from wmstat.rates import (hard_instance, min_tokens_upper_bound, type2_product_exact,
+                          type2_product_mc)
 from wmstat.streams import substream, substream_uniforms
 from wmstat.schemes import (
     ChristBinary,
@@ -971,6 +973,39 @@ class TestSchemeConfigs:
 def test_scheme_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _christ_detect(meta):
+    scheme = ChristBinary(ChristBinaryConfig(n=3, target_alpha=0.05))
+    return scheme.detect(fair_coin_lm(), WatermarkKey(seed=1), (0, 1, 1), meta=meta)
+
+
+@pytest.mark.parametrize(
+    "call, good, bad, message",
+    [
+        (lambda v: SoftRedListConfig(n=5, target_alpha=0.05, vocab_size=v), 2, 2.5,
+         "vocab_size must be an integer, got 2.5"),
+        (lambda v: ItsConfig(n=10, target_alpha=0.05, vocab_size=v), 2, 2.5,
+         "vocab_size must be an integer, got 2.5"),
+        (lambda v: ItsConfig(n=10, target_alpha=0.05, vocab_size=v), 2, 1, "vocab size must be >= 2, got 1"),
+        (lambda v: ItsConfig(n=10, target_alpha=0.05, vocab_size=v), 2, 0, "vocab size must be >= 2, got 0"),
+        (_christ_detect, 2, 2.7, "start index must be an integer, got [2.7]"),
+        (_christ_detect, 3, "3", "start index must be an integer, got ['3']"),
+        (_christ_detect, 1, True, "start index must be an integer, got [True]"),
+        (WatermarkKey, 1, 1.5, "seed must be an integer, got 1.5"),
+        (lambda v: type2_product_mc(hard_instance(0.2), 5, 0.1, 100, v), 1, 1.5,
+         "seed must be an integer, got 1.5"),
+        (lambda v: min_tokens_upper_bound(0.1, 0.01, 0.01, v), 2, 2.5, "k must be an integer, got 2.5"),
+        (lambda v: UniformRegionLaw(4, 2).hit_probability(v), 2, 2.5, "u_size must be an integer, got 2.5"),
+    ],
+    ids=["srl-vocab-float", "its-vocab-float", "its-vocab-1", "its-vocab-0", "christ-start-float",
+         "christ-start-str", "christ-start-bool", "key-seed", "mc-seed", "upper-bound-k", "hit-size"],
+)
+def test_integer_inputs(call, good, bad, message):
+    # a non-integer or too-small count is rejected by name; numpy integers pass
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)
+    call(np.int64(good))
 
 
 _HALF = DiscreteDist(probs=(0.5, 0.5))
